@@ -9,16 +9,15 @@ Carlo mission simulator with a CLI.
 
 from .belief import (BeliefMap, GridDims, GroundTruthMap, belief_to_csv, cell_failure_prob,
                      global_entropy, init_uniform, update_on_failure, update_on_success)
-from .coordination import (BasePose, Partition, RelocationPolicy, is_reachable_safely,
-                           radial_partition, regional_entropy, select_base_site)
+from .coordination import (BasePose, Partition, RelocationPolicy, radial_partition,
+                           reachable_cells, regional_entropy, select_base_site)
 from .errors import (DistributionError, FleetExhaustedError, InconsistentObservationError,
                      ParameterError, ScenarioError)
 from .experiment import (ExperimentResult, TheorySweepResult, run_experiment, theory_sweep)
 from .info_measures import (AlphaSearchResult, BehaviorParams, BinaryChannel, DeltaMiTerms,
                             MiForm, behavioral_entropy, binary_behavioral_entropy,
-                            binary_entropy, delta_mi, delta_mi_grid, delta_mi_terms,
-                            find_informative_alpha, mi_behavioral, mi_bgs, prelec_weight,
-                            shannon_entropy)
+                            binary_entropy, delta_mi, find_informative_alpha, mi_behavioral,
+                            mi_bgs, prelec_weight, shannon_entropy)
 from .planner import PlanConfig, Trajectory, neighbors, per_cell_gain, plan_path, random_walk, score_path
 from .scenario import builtin_scenarios, load_scenario, parse_scenario_text, scenario_to_text
 from .sim import (AgentSpec, DeploymentRecord, MissionConfig, TrialMetrics, execute_deployment,

@@ -47,6 +47,8 @@ def _cmd_simulate(args) -> int:
         config = replace(config, master_seed=args.seed)
     if args.trials is not None:
         trials = args.trials
+    if trials < 1:
+        raise ScenarioError(f"trials must be >= 1, got {trials}")
     os.makedirs(args.out, exist_ok=True)
     result = run_experiment(config, trials, workers=args.workers)
     write_deployments_csv(os.path.join(args.out, "deployments.csv"), [result])

@@ -25,7 +25,7 @@ __all__ = [
     "RelocationPolicy",
     "radial_partition",
     "regional_entropy",
-    "is_reachable_safely",
+    "reachable_cells",
     "select_base_site",
 ]
 
@@ -112,40 +112,15 @@ def regional_entropy(belief: BeliefMap, candidate: int, policy: RelocationPolicy
     return means, float(means.mean())
 
 
-def is_reachable_safely(belief: BeliefMap, start: int, goal: int, safety_threshold: float) -> bool:
-    """True if an 8-connected path start -> goal stays below the belief threshold."""
-    dims = belief.dims
-    if not (dims.contains(start) and dims.contains(goal)):
-        raise ParameterError("start/goal outside grid")
-    free = belief.probs < safety_threshold
-    if not (free[start] and free[goal]):
-        return False
-    if start == goal:
-        return True
-    seen = np.zeros(dims.n_cells, dtype=bool)
-    seen[start] = True
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        r, c = dims.to_rc(cur)
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                if dr == 0 and dc == 0:
-                    continue
-                rr, cc = r + dr, c + dc
-                if 0 <= rr < dims.rows and 0 <= cc < dims.cols:
-                    nxt = rr * dims.cols + cc
-                    if not seen[nxt] and free[nxt]:
-                        if nxt == goal:
-                            return True
-                        seen[nxt] = True
-                        queue.append(nxt)
-    return False
+def reachable_cells(belief: BeliefMap, start: int, safety_threshold: float) -> np.ndarray:
+    """Cells reachable from start by 8-connected moves through sub-threshold cells.
 
-
-def _reachable_set(belief: BeliefMap, start: int, safety_threshold: float) -> np.ndarray:
-    """All cells reachable from start through sub-threshold cells."""
+    Returns a boolean mask over the grid, all False when start itself is at
+    or above the threshold.
+    """
     dims = belief.dims
+    if not dims.contains(start):
+        raise ParameterError(f"cell {start} outside grid")
     free = belief.probs < safety_threshold
     reach = np.zeros(dims.n_cells, dtype=bool)
     if not free[start]:
@@ -178,10 +153,8 @@ def select_base_site(belief: BeliefMap, base: BasePose, policy: RelocationPolicy
     at that site; ties go to the smaller cell index.
     """
     dims = belief.dims
-    if not dims.contains(base.cell):
-        raise ParameterError(f"base cell {base.cell} outside grid")
+    reach = reachable_cells(belief, base.cell, policy.safety_threshold)
     br, bc = dims.to_rc(base.cell)
-    reach = _reachable_set(belief, base.cell, policy.safety_threshold)
     r_s = int(math.floor(policy.search_radius))
     best = None
     for r in range(max(0, br - r_s), min(dims.rows, br + r_s + 1)):

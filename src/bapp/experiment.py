@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .info_measures import delta_mi_grid
+from .info_measures import delta_mi
 from .sim import MissionConfig, TrialMetrics, run_trial
 
 __all__ = [
@@ -202,7 +202,7 @@ def theory_sweep(alpha_grid, prior_grid, lambda_grid, gamma_grid) -> TheorySweep
     for name, g in (("alpha", a), ("prior", p), ("lambda", lam), ("gamma", gam)):
         if g.size == 0:
             raise ParameterError(f"{name} grid is empty")
-    terms = delta_mi_grid(
+    terms = delta_mi(
         p[None, :, None, None],
         lam[None, None, :, None],
         gam[None, None, None, :],

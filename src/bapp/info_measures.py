@@ -12,6 +12,8 @@ exaggerates rare events (conservative), alpha = 1 is the identity
 uniform (aggressive).
 
 All functions broadcast over numpy arrays; scalars in give scalars out.
+Each public function checks its arguments once and hands the checked
+arrays to private kernels, which do no further validation.
 """
 
 from __future__ import annotations
@@ -39,8 +41,6 @@ __all__ = [
     "mi_bgs",
     "mi_behavioral",
     "delta_mi",
-    "delta_mi_terms",
-    "delta_mi_grid",
     "find_informative_alpha",
 ]
 
@@ -188,21 +188,37 @@ def behavioral_entropy(probs: Sequence[float], alpha: float) -> float:
     return float(-_xlogx(w).sum())
 
 
+def _binary_beta(alpha):
+    """beta of the binary (M = 2) Prelec weight for a checked alpha array."""
+    return np.exp((1.0 - alpha) * math.log(math.log(2.0)))
+
+
+def _binary_h(p):
+    """Binary entropy in nats of checked probabilities."""
+    return -(_xlogx(p) + _xlogx(1.0 - p))
+
+
+def _binary_behavioral_h(p, alpha):
+    """Binary behavioral entropy in nats of checked probabilities and alpha."""
+    beta = _binary_beta(alpha)
+    return -(_xlogx(_prelec(p, alpha, beta)) + _xlogx(_prelec(1.0 - p, alpha, beta)))
+
+
+def _perceived_obs_marginal(p, alpha, tpr, fpr):
+    """Perceived P(Z=1) = w(p)*tpr + (1-w(p))*fpr, and w(p), on checked arguments."""
+    w = _prelec(p, alpha, _binary_beta(alpha))
+    return w * tpr + (1.0 - w) * fpr, w
+
+
 def binary_entropy(p, base: float = math.e):
     """Entropy of a (p, 1-p) coin; pass base=2 for bits."""
-    arr = _as_prob(p)
-    h = -(_xlogx(arr) + _xlogx(1.0 - arr)) / math.log(base)
+    h = _binary_h(_as_prob(p)) / math.log(base)
     return float(h) if np.ndim(p) == 0 else h
 
 
 def binary_behavioral_entropy(p, alpha):
     """Behavioral entropy of a (p, 1-p) coin in nats, vectorized over p."""
-    arr = _as_prob(p)
-    alpha = _check_alpha(alpha)
-    beta = np.exp((1.0 - alpha) * math.log(math.log(2.0)))
-    w1 = _prelec(arr, alpha, beta)
-    w0 = _prelec(1.0 - arr, alpha, beta)
-    h = -(_xlogx(w1) + _xlogx(w0))
+    h = _binary_behavioral_h(_as_prob(p), _check_alpha(alpha))
     return float(h) if np.ndim(p) == 0 and np.ndim(alpha) == 0 else h
 
 
@@ -236,12 +252,6 @@ def mi_bgs(prior, channel: BinaryChannel):
     return float(total) if np.ndim(prior) == 0 else total
 
 
-def _perceived_obs_marginal(p, alpha, channel: BinaryChannel):
-    beta = np.exp((1.0 - np.asarray(alpha, dtype=float)) * math.log(math.log(2.0)))
-    w = _prelec(np.asarray(p, dtype=float), alpha, beta)
-    return w * channel.tpr + (1.0 - w) * channel.fpr, w
-
-
 def mi_behavioral(prior, channel: BinaryChannel, alpha, form: MiForm = MiForm.POSTERIOR):
     """Behavioral mutual information of the binary joint, in nats.
 
@@ -257,10 +267,8 @@ def mi_behavioral(prior, channel: BinaryChannel, alpha, form: MiForm = MiForm.PO
     alpha = _check_alpha(alpha)
     lam, gam = channel.tpr, channel.fpr
     if form is MiForm.CHANNEL:
-        perceived, w = _perceived_obs_marginal(p, alpha, channel)
-        h_obs = binary_behavioral_entropy(perceived, alpha)
-        cond = w * binary_entropy(lam) + (1.0 - w) * binary_entropy(gam)
-        out = h_obs - cond
+        perceived, w = _perceived_obs_marginal(p, alpha, lam, gam)
+        out = _binary_behavioral_h(perceived, alpha) - (w * _binary_h(lam) + (1.0 - w) * _binary_h(gam))
     elif form is MiForm.POSTERIOR:
         pz1 = p * lam + (1.0 - p) * gam
         pz0 = 1.0 - pz1
@@ -269,46 +277,35 @@ def mi_behavioral(prior, channel: BinaryChannel, alpha, form: MiForm = MiForm.PO
             post0 = np.where(pz0 > 0.0, p * (1.0 - lam) / np.where(pz0 > 0.0, pz0, 1.0), 0.0)
         post1 = np.clip(post1, 0.0, 1.0)
         post0 = np.clip(post0, 0.0, 1.0)
-        h_prior = binary_behavioral_entropy(p, alpha)
-        h_cond = pz1 * binary_behavioral_entropy(post1, alpha) + pz0 * binary_behavioral_entropy(post0, alpha)
-        out = h_prior - h_cond
+        h_cond = pz1 * _binary_behavioral_h(post1, alpha) + pz0 * _binary_behavioral_h(post0, alpha)
+        out = _binary_behavioral_h(p, alpha) - h_cond
     else:
         raise ParameterError(f"unknown MI form {form!r}")
     return float(out) if np.ndim(prior) == 0 and np.ndim(alpha) == 0 else out
 
 
-def delta_mi_grid(prior, tpr, fpr, alpha) -> DeltaMiTerms:
-    """delta_mi_terms with every argument broadcastable (for parameter sweeps)."""
-    p = _as_prob(prior, "prior")
-    tpr = _as_prob(tpr, "tpr")
-    fpr = _as_prob(fpr, "fpr")
-    alpha = _check_alpha(alpha)
-    beta = np.exp((1.0 - alpha) * math.log(math.log(2.0)))
-    w = _prelec(p, alpha, beta)
-    perceived = w * tpr + (1.0 - w) * fpr
+def _delta_mi(p, tpr, fpr, alpha) -> DeltaMiTerms:
+    """delta_mi on checked, broadcastable arguments; returns arrays."""
+    perceived, w = _perceived_obs_marginal(p, alpha, tpr, fpr)
     true_marginal = p * tpr + (1.0 - p) * fpr
-    delta_h_obs = binary_behavioral_entropy(perceived, alpha) - binary_entropy(true_marginal)
-    weighted = (binary_entropy(fpr) - binary_entropy(tpr)) * (w - p)
-    total = weighted + delta_h_obs
-    return DeltaMiTerms(total, weighted, delta_h_obs)
+    delta_h_obs = _binary_behavioral_h(perceived, alpha) - _binary_h(true_marginal)
+    weighted = (_binary_h(fpr) - _binary_h(tpr)) * (w - p)
+    return DeltaMiTerms(weighted + delta_h_obs, weighted, delta_h_obs)
 
 
-def delta_mi_terms(prior, channel: BinaryChannel, alpha) -> DeltaMiTerms:
+def delta_mi(prior, tpr, fpr, alpha) -> DeltaMiTerms:
     """Channel-form behavioral MI minus Shannon MI, with its exact split.
 
     total = (H(fpr) - H(tpr)) * (w(p) - p)  +  delta_h_obs,
     where delta_h_obs is the behavioral-vs-Shannon entropy shift of the
-    observation marginal. The identity holds to rounding.
+    observation marginal. The identity holds to rounding. Every argument
+    broadcasts (for parameter sweeps); all-scalar inputs give floats.
     """
-    out = delta_mi_grid(prior, channel.tpr, channel.fpr, alpha)
-    if np.ndim(prior) == 0 and np.ndim(alpha) == 0:
-        return DeltaMiTerms(float(out.total), float(out.weighted_term), float(out.delta_h_obs))
-    return out
-
-
-def delta_mi(prior, channel: BinaryChannel, alpha):
-    """Shorthand for delta_mi_terms(...).total."""
-    return delta_mi_terms(prior, channel, alpha).total
+    terms = _delta_mi(_as_prob(prior, "prior"), _as_prob(tpr, "tpr"), _as_prob(fpr, "fpr"),
+                      _check_alpha(alpha))
+    if all(np.ndim(x) == 0 for x in (prior, tpr, fpr, alpha)):
+        return DeltaMiTerms(*(float(t) for t in terms))
+    return terms
 
 
 def find_informative_alpha(prior: float, channel: BinaryChannel, alpha_grid) -> AlphaSearchResult:
@@ -321,12 +318,12 @@ def find_informative_alpha(prior: float, channel: BinaryChannel, alpha_grid) -> 
     grid = np.asarray(list(alpha_grid), dtype=float)
     if grid.size == 0:
         raise ParameterError("alpha grid is empty")
-    _check_alpha(grid)
+    grid = _check_alpha(grid)
     if not channel.is_informative:
         raise ParameterError("channel must satisfy 0 < fpr < tpr < 1")
     if not 0.0 < prior < 1.0:
         raise ParameterError(f"prior must be in (0, 1), got {prior}")
-    gains = delta_mi(prior, channel, grid)
+    gains = _delta_mi(np.asarray(prior, dtype=float), channel.tpr, channel.fpr, grid).total
     best = int(np.argmax(gains))
     # argmax returns the first maximum; make the tie-break explicit on alpha
     top = np.flatnonzero(gains == gains[best])

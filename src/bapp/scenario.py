@@ -8,12 +8,13 @@ equal-energy team shapes (team size x horizon = 105).
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Optional
 
 from .belief import GridDims
 from .coordination import RelocationPolicy
-from .errors import ScenarioError
+from .errors import ParameterError, ScenarioError
 from .info_measures import MiForm
 from .planner import PlanConfig
 from .sim import AgentSpec, MissionConfig
@@ -108,11 +109,12 @@ def _parse_bool(raw: str) -> bool:
         return True
     if low in ("false", "no", "off", "0"):
         return False
-    raise ScenarioError(f"cannot parse boolean from {raw!r}")
+    raise ValueError(f"cannot parse boolean from {raw!r}")
 
 
 def parse_scenario_text(text: str) -> dict:
-    """Parse key = value lines against the schema; unknown keys are errors."""
+    """Parse key = value lines against the schema; unknown keys and
+    non-finite floats are errors."""
     values = dict(_DEFAULTS)
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -125,21 +127,17 @@ def parse_scenario_text(text: str) -> dict:
             raise ScenarioError(f"line {lineno}: unknown key {key!r}")
         typ = _SCHEMA[key]
         try:
-            if typ is bool:
-                values[key] = _parse_bool(raw)
-            elif typ is str:
-                values[key] = raw
-            else:
-                values[key] = typ(raw)
-        except ScenarioError:
-            raise
-        except (TypeError, ValueError) as exc:
+            value = _parse_bool(raw) if typ is bool else typ(raw)
+        except ValueError as exc:
             raise ScenarioError(f"line {lineno}: bad value for {key!r}: {raw!r}") from exc
+        if typ is float and not math.isfinite(value):
+            raise ScenarioError(f"line {lineno}: {key!r} must be finite, got {raw!r}")
+        values[key] = value
     return values
 
 
 def _config_from_values(values: dict) -> tuple[MissionConfig, int]:
-    dims = GridDims(values["rows"], values["cols"])
+    """Build and check the mission; every failure is a ScenarioError."""
     try:
         strategy = StrategyKind(values["strategy"])
     except ValueError:
@@ -148,6 +146,8 @@ def _config_from_values(values: dict) -> tuple[MissionConfig, int]:
         mi_form = MiForm(values["mi_form"])
     except ValueError:
         raise ScenarioError(f"unknown mi_form {values['mi_form']!r}") from None
+    if values["trials"] < 1:
+        raise ScenarioError(f"trials must be >= 1, got {values['trials']}")
 
     budget = values["deployment_budget"]
     team = values["team_size"]
@@ -159,7 +159,10 @@ def _config_from_values(values: dict) -> tuple[MissionConfig, int]:
         hf_stock = 2 * team
     phase_switch = values["tid_phase_switch"]
     if phase_switch < 0:
-        phase_switch = max(1, int(round(0.3 * budget)))
+        try:
+            phase_switch = max(1, int(round(0.3 * budget)))
+        except OverflowError:
+            raise ScenarioError(f"deployment_budget {budget} is too large") from None
 
     base_raw = values["base_cell"].strip().lower()
     if base_raw == "center":
@@ -170,28 +173,31 @@ def _config_from_values(values: dict) -> tuple[MissionConfig, int]:
         except ValueError:
             raise ScenarioError(f"base_cell must be 'center' or an integer, got {values['base_cell']!r}") from None
 
-    config = MissionConfig(
-        dims=dims,
-        lethality=values["lethality"],
-        hazard_density=values["hazard_density"],
-        team_size=team,
-        horizon=values["horizon"],
-        deployment_budget=budget,
-        strategy=strategy,
-        master_seed=values["master_seed"],
-        disposable=AgentSpec(AgentClass.DISPOSABLE, values["disposable_gamma"], disp_stock),
-        high_fidelity=AgentSpec(AgentClass.HIGH_FIDELITY, values["highfid_gamma"], hf_stock),
-        plan=PlanConfig(horizon=values["horizon"], beam_width=values["beam_width"], mi_form=mi_form),
-        sig=SigPolicy(values["sig_alpha_min"], values["sig_alpha_max"],
-                      values["sig_halfwidth"], values["sig_step"]),
-        trigger=TriggerPolicy(values["tid_window"], values["tid_theta_early"], phase_switch,
-                              values["tid_eps_min"], values["tid_eps_max"], values["tid_decay_rate"],
-                              values["tid_alpha_explore"], values["tid_alpha_hf"]),
-        relocation=RelocationPolicy(values["explore_radius"], values["search_radius"],
-                                    values["safety_threshold"], values["relocation_cadence"]),
-        relocate=values["relocate"],
-        base_cell=base_cell,
-    )
+    try:
+        config = MissionConfig(
+            dims=GridDims(values["rows"], values["cols"]),
+            lethality=values["lethality"],
+            hazard_density=values["hazard_density"],
+            team_size=team,
+            horizon=values["horizon"],
+            deployment_budget=budget,
+            strategy=strategy,
+            master_seed=values["master_seed"],
+            disposable=AgentSpec(AgentClass.DISPOSABLE, values["disposable_gamma"], disp_stock),
+            high_fidelity=AgentSpec(AgentClass.HIGH_FIDELITY, values["highfid_gamma"], hf_stock),
+            plan=PlanConfig(horizon=values["horizon"], beam_width=values["beam_width"], mi_form=mi_form),
+            sig=SigPolicy(values["sig_alpha_min"], values["sig_alpha_max"],
+                          values["sig_halfwidth"], values["sig_step"]),
+            trigger=TriggerPolicy(values["tid_window"], values["tid_theta_early"], phase_switch,
+                                  values["tid_eps_min"], values["tid_eps_max"], values["tid_decay_rate"],
+                                  values["tid_alpha_explore"], values["tid_alpha_hf"]),
+            relocation=RelocationPolicy(values["explore_radius"], values["search_radius"],
+                                        values["safety_threshold"], values["relocation_cadence"]),
+            relocate=values["relocate"],
+            base_cell=base_cell,
+        )
+    except ParameterError as exc:
+        raise ScenarioError(str(exc)) from exc
     return config, values["trials"]
 
 
@@ -285,12 +291,16 @@ def scenario_to_text(name: str) -> str:
 def load_scenario(source: str) -> tuple[MissionConfig, int]:
     """Load a scenario from a file path or a built-in name.
 
-    Returns (config, trials).
+    Returns (config, trials). This is where a mission is checked: any bad
+    file, value or combination raises ScenarioError before a trial runs.
     """
     if os.path.isfile(source):
-        with open(source) as f:
-            values = parse_scenario_text(f.read())
-        return _config_from_values(values)
+        try:
+            with open(source, encoding="utf-8") as f:
+                text = f.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ScenarioError(f"cannot read scenario file {source!r}: {exc}") from exc
+        return _config_from_values(parse_scenario_text(text))
     if source in _BUILTINS:
         values = dict(_DEFAULTS)
         values.update(_BUILTINS[source])

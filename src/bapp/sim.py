@@ -87,12 +87,18 @@ class MissionConfig:
             raise ScenarioError("deployment budget must be >= 0")
         if not (0.0 <= self.lethality <= 1.0):
             raise ScenarioError("lethality must be in [0, 1]")
+        if not (0.0 <= self.hazard_density < 1.0):
+            raise ScenarioError(f"hazard density must be in [0, 1), got {self.hazard_density}")
+        if self.master_seed < 0:
+            raise ScenarioError(f"master seed must be >= 0, got {self.master_seed}")
         if self.disposable is None:
             object.__setattr__(self, "disposable",
                                AgentSpec(AgentClass.DISPOSABLE, 0.10, self.deployment_budget * self.team_size))
         if self.high_fidelity is None:
             object.__setattr__(self, "high_fidelity",
                                AgentSpec(AgentClass.HIGH_FIDELITY, 0.01, 2 * self.team_size))
+        if self.disposable.stock + self.high_fidelity.stock < 1:
+            raise ScenarioError("the fleet needs at least one robot in stock")
         if self.base_cell is not None and not self.dims.contains(self.base_cell):
             raise ScenarioError(f"base cell {self.base_cell} outside grid")
         if self.plan.horizon != self.horizon:

@@ -95,6 +95,8 @@ class TriggerPolicy:
             raise ParameterError("phase_switch and decay_rate must be >= 0")
         if not (0 < self.eps_min <= self.eps_max):
             raise ParameterError("need 0 < eps_min <= eps_max")
+        if self.alpha_explore <= 0 or self.alpha_hf <= 0:
+            raise ParameterError("alpha_explore and alpha_hf must be > 0")
 
 
 @dataclass

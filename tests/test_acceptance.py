@@ -75,7 +75,7 @@ def test_criterion_3_informative_alpha_exists():
                 checked += 1
     assert checked == 30 * 30 * 19
     # the low-prior / strong-sensor case shows a real gain below alpha = 1
-    gains = [delta_mi(0.2, BinaryChannel(0.9, 0.1), a) for a in alpha_grid if a < 1.0]
+    gains = [delta_mi(0.2, 0.9, 0.1, a).total for a in alpha_grid if a < 1.0]
     assert max(gains) > 0.05
     print(f"\nACCEPTANCE 3 informative alpha exists: PASS "
           f"({checked} sensor/prior points; max sub-1 gain {max(gains):.4f} nats)")

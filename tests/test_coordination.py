@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bapp.belief import BeliefMap, GridDims, init_uniform
-from bapp.coordination import (BasePose, RelocationPolicy, is_reachable_safely, radial_partition,
+from bapp.coordination import (BasePose, RelocationPolicy, radial_partition, reachable_cells,
                                regional_entropy, select_base_site)
 from bapp.errors import ParameterError
 
@@ -87,8 +87,8 @@ class TestRegionalEntropy:
 class TestReachability:
     def test_same_cell(self):
         belief = init_uniform(GridDims(3, 3))
-        assert is_reachable_safely(belief, 4, 4, 0.6)
-        assert not is_reachable_safely(belief, 4, 4, 0.4)
+        assert reachable_cells(belief, 4, 0.6)[4]
+        assert not reachable_cells(belief, 4, 0.4)[4]
 
     def test_blocked_by_ring(self):
         dims = GridDims(5, 5)
@@ -96,15 +96,15 @@ class TestReachability:
         ring = [6, 7, 8, 11, 13, 16, 17, 18]
         probs[ring] = 0.9
         belief = BeliefMap(dims, probs)
-        assert not is_reachable_safely(belief, 0, 12, 0.6)
+        assert not reachable_cells(belief, 0, 0.6)[12]
 
     def test_corridor(self):
         dims = GridDims(3, 5)
         probs = np.full(15, 0.95)
         probs[[5, 6, 7, 8, 9]] = 0.1  # middle row open
         belief = BeliefMap(dims, probs)
-        assert is_reachable_safely(belief, 5, 9, 0.6)
-        assert not is_reachable_safely(belief, 5, 2, 0.6)
+        assert reachable_cells(belief, 5, 0.6)[9]
+        assert not reachable_cells(belief, 5, 0.6)[2]
 
 
 class TestSelectBaseSite:
@@ -136,10 +136,11 @@ class TestSelectBaseSite:
         out = select_base_site(belief, BasePose(base), policy, 1)
         # exhaustive re-check over the box
         best = None
+        reach = reachable_cells(belief, base, 0.6)
         for r in range(2, 5):
             for c in range(2, 5):
                 cand = dims.to_cell(r, c)
-                if belief.probs[cand] >= 0.6 or not is_reachable_safely(belief, base, cand, 0.6):
+                if belief.probs[cand] >= 0.6 or not reach[cand]:
                     continue
                 part = radial_partition(BasePose(cand), dims, 1)
                 _, score = regional_entropy(belief, cand, policy, part)
@@ -159,7 +160,7 @@ class TestSelectBaseSite:
             out = select_base_site(belief, base, policy, 3)
             if out.cell != base.cell:
                 assert belief.probs[out.cell] < 0.55
-                assert is_reachable_safely(belief, base.cell, out.cell, 0.55)
+                assert reachable_cells(belief, base.cell, 0.55)[out.cell]
 
     def test_monotone_vs_current_base(self):
         rng = np.random.default_rng(15)

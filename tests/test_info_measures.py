@@ -6,8 +6,8 @@ import pytest
 from bapp.errors import DistributionError, ParameterError
 from bapp.info_measures import (AlphaSearchResult, BehaviorParams, BinaryChannel, MiForm,
                                 behavioral_entropy, binary_behavioral_entropy, binary_entropy,
-                                delta_mi, delta_mi_grid, delta_mi_terms, find_informative_alpha,
-                                mi_behavioral, mi_bgs, prelec_weight, shannon_entropy)
+                                delta_mi, find_informative_alpha, mi_behavioral, mi_bgs,
+                                prelec_weight, shannon_entropy)
 
 
 def mi_joint_oracle(p, lam, gam):
@@ -220,34 +220,34 @@ class TestDeltaMi:
         rng = np.random.default_rng(31)
         for _ in range(100):
             p, lam, gam = rng.uniform(0.01, 0.99, 3)
-            assert abs(delta_mi(float(p), BinaryChannel(float(lam), float(gam)), 1.0)) < 1e-12
+            assert abs(delta_mi(float(p), float(lam), float(gam), 1.0).total) < 1e-12
 
     def test_example_gain(self):
-        assert delta_mi(0.2, BinaryChannel(0.9, 0.1), 0.5) == pytest.approx(0.11146, abs=1e-5)
+        assert delta_mi(0.2, 0.9, 0.1, 0.5).total == pytest.approx(0.11146, abs=1e-5)
 
     def test_fixed_point_cancellation(self):
         # H(0.9) = H(0.1) and w(0.5) = 0.5 cancel both terms exactly
-        assert abs(delta_mi(0.5, BinaryChannel(0.9, 0.1), 0.5)) < 1e-12
+        assert abs(delta_mi(0.5, 0.9, 0.1, 0.5).total) < 1e-12
 
     def test_split_identity(self):
         rng = np.random.default_rng(37)
         for _ in range(200):
             p, lam, gam, alpha = rng.uniform(0.02, 0.98, 4)
-            t = delta_mi_terms(float(p), BinaryChannel(float(lam), float(gam)), float(alpha) + 0.05)
+            t = delta_mi(float(p), float(lam), float(gam), float(alpha) + 0.05)
             assert t.total == pytest.approx(t.weighted_term + t.delta_h_obs, abs=1e-12)
 
     def test_continuity_in_alpha(self):
         # variation over a dense grid stays bounded by a Lipschitz-style check
         alphas = np.linspace(0.05, 5.0, 2000)
-        ch = BinaryChannel(0.85, 0.15)
-        vals = delta_mi(0.3, ch, alphas)
+        vals = delta_mi(0.3, 0.85, 0.15, alphas).total
         steps = np.abs(np.diff(vals))
         assert steps.max() < 0.01
 
     def test_grid_broadcasting(self):
-        t = delta_mi_grid(np.array([0.2, 0.5]), 0.9, 0.1, np.array([[0.5], [1.0]]))
+        t = delta_mi(np.array([0.2, 0.5]), 0.9, 0.1, np.array([[0.5], [1.0]]))
         assert np.shape(t.total) == (2, 2)
         assert t.total[1] == pytest.approx([0.0, 0.0], abs=1e-12)
+        assert np.allclose(t.total, t.weighted_term + t.delta_h_obs, rtol=0.0, atol=1e-12)
 
 
 class TestFindInformativeAlpha:
