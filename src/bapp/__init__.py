@@ -9,8 +9,8 @@ Carlo mission simulator with a CLI.
 
 from .belief import (BeliefMap, GridDims, GroundTruthMap, belief_to_csv, cell_failure_prob,
                      global_entropy, init_uniform, update_on_failure, update_on_success)
-from .coordination import (BasePose, Partition, RelocationPolicy, radial_partition,
-                           reachable_cells, regional_entropy, select_base_site)
+from .coordination import (Partition, RelocationPolicy, radial_partition, reachable_cells,
+                           regional_entropy, sector_masks, select_base_site)
 from .errors import (DistributionError, FleetExhaustedError, InconsistentObservationError,
                      ParameterError, ScenarioError)
 from .experiment import (ExperimentResult, TheorySweepResult, run_experiment, theory_sweep)

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from .belief import GridDims
-from .errors import ScenarioError
+from .errors import ParameterError, ScenarioError
 from .experiment import (run_experiment, theory_sweep, write_bases_csv,
                          write_deployments_csv, write_paths_csv,
                          write_summary_json, write_theory_csvs)
@@ -63,8 +63,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_theory_sweep(args) -> int:
+    try:
+        result = theory_sweep(args.alpha_grid, args.prior_grid, args.lambda_grid, args.gamma_grid)
+    except ParameterError as exc:  # the grids come only from the flags
+        raise ScenarioError(str(exc)) from exc
     os.makedirs(args.out, exist_ok=True)
-    result = theory_sweep(args.alpha_grid, args.prior_grid, args.lambda_grid, args.gamma_grid)
     write_theory_csvs(args.out, result)
     n_rows = result.delta_i.size
     print(f"theory sweep: {n_rows} rows -> {args.out}")

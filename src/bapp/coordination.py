@@ -2,9 +2,11 @@
 
 Sectors are angular wedges about the base cell: a cell at angle theta in
 [0, 2*pi) lands in sector floor(n * theta / (2*pi)); the base cell itself is
-sector 0. Relocation scans a square box of candidate sites, keeps the ones
-that are believed safe and safely reachable, and moves to the candidate
-whose simulated partition has the highest average nearby entropy.
+sector 0. Each robot plans inside its wedge plus the 3x3 hub around the
+base. Bases are plain cell indices. Relocation scans a square box of
+candidate sites, keeps the ones that are believed safe and safely
+reachable, and moves to the candidate whose simulated partition has the
+highest average nearby entropy.
 """
 
 from __future__ import annotations
@@ -18,26 +20,21 @@ import numpy as np
 from .belief import BeliefMap, GridDims
 from .errors import ParameterError
 from .info_measures import binary_entropy
+from .planner import neighbors
 
 __all__ = [
-    "BasePose",
     "Partition",
     "RelocationPolicy",
     "radial_partition",
+    "sector_masks",
     "regional_entropy",
     "reachable_cells",
     "select_base_site",
 ]
 
 
-@dataclass(frozen=True)
-class BasePose:
-    cell: int
-
-
 @dataclass(frozen=True, eq=False)
 class Partition:
-    base: BasePose
     sector_count: int
     assignment: np.ndarray  # sector id per cell
 
@@ -73,19 +70,33 @@ def _cell_coords(dims: GridDims) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def radial_partition(base: BasePose, dims: GridDims, n: int) -> Partition:
+def radial_partition(base: int, dims: GridDims, n: int) -> Partition:
     """Assign every cell to one of n angular sectors about the base cell."""
     if n < 1:
         raise ParameterError("sector count must be >= 1")
-    if not dims.contains(base.cell):
-        raise ParameterError(f"base cell {base.cell} outside grid")
-    br, bc = dims.to_rc(base.cell)
+    if not dims.contains(base):
+        raise ParameterError(f"base cell {base} outside grid")
+    br, bc = dims.to_rc(base)
     rows, cols = _cell_coords(dims)
     theta = np.arctan2(rows - br, cols - bc)
     theta = np.mod(theta, 2.0 * math.pi)
     sectors = np.minimum((n * theta / (2.0 * math.pi)).astype(int), n - 1)
-    sectors[base.cell] = 0
-    return Partition(base=base, sector_count=n, assignment=sectors)
+    sectors[base] = 0
+    return Partition(sector_count=n, assignment=sectors)
+
+
+def sector_masks(base: int, dims: GridDims, n: int) -> list:
+    """Planner mask of each of n robots; [None] (no mask) for one robot.
+
+    A robot's mask is its sector of the radial partition plus the hub.
+    """
+    if n == 1:
+        return [None]
+    partition = radial_partition(base, dims, n)
+    # thin angular wedges need not touch the base under 9-connectivity,
+    # so every robot may cross the 3x3 hub around the base on its way out
+    hub = frozenset(neighbors(base, dims))
+    return [frozenset(int(c) for c in partition.sector_cells(s)) | hub for s in range(n)]
 
 
 def regional_entropy(belief: BeliefMap, candidate: int, policy: RelocationPolicy,
@@ -128,23 +139,14 @@ def reachable_cells(belief: BeliefMap, start: int, safety_threshold: float) -> n
     reach[start] = True
     queue = deque([start])
     while queue:
-        cur = queue.popleft()
-        r, c = dims.to_rc(cur)
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                if dr == 0 and dc == 0:
-                    continue
-                rr, cc = r + dr, c + dc
-                if 0 <= rr < dims.rows and 0 <= cc < dims.cols:
-                    nxt = rr * dims.cols + cc
-                    if free[nxt] and not reach[nxt]:
-                        reach[nxt] = True
-                        queue.append(nxt)
+        for nxt in neighbors(queue.popleft(), dims):
+            if free[nxt] and not reach[nxt]:
+                reach[nxt] = True
+                queue.append(nxt)
     return reach
 
 
-def select_base_site(belief: BeliefMap, base: BasePose, policy: RelocationPolicy,
-                     n: int) -> BasePose:
+def select_base_site(belief: BeliefMap, base: int, policy: RelocationPolicy, n: int) -> int:
     """Best relocation site within the search box, or the current base.
 
     Candidates are cells within Chebyshev distance search_radius whose
@@ -153,8 +155,8 @@ def select_base_site(belief: BeliefMap, base: BasePose, policy: RelocationPolicy
     at that site; ties go to the smaller cell index.
     """
     dims = belief.dims
-    reach = reachable_cells(belief, base.cell, policy.safety_threshold)
-    br, bc = dims.to_rc(base.cell)
+    reach = reachable_cells(belief, base, policy.safety_threshold)
+    br, bc = dims.to_rc(base)
     r_s = int(math.floor(policy.search_radius))
     best = None
     for r in range(max(0, br - r_s), min(dims.rows, br + r_s + 1)):
@@ -162,10 +164,8 @@ def select_base_site(belief: BeliefMap, base: BasePose, policy: RelocationPolicy
             cand = dims.to_cell(r, c)
             if not reach[cand]:
                 continue
-            part = radial_partition(BasePose(cand), dims, n)
+            part = radial_partition(cand, dims, n)
             _, score = regional_entropy(belief, cand, policy, part)
             if best is None or score > best[0]:
                 best = (score, cand)
-    if best is None:
-        return base
-    return BasePose(best[1])
+    return base if best is None else best[1]

@@ -122,8 +122,9 @@ def _as_prob(p, name="p"):
 
 def _check_alpha(alpha):
     arr = np.asarray(alpha, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise ParameterError(f"alpha must be finite and > 0, got {alpha!r}")
+    bad = ~(np.isfinite(arr) & (arr > 0.0))
+    if np.any(bad):
+        raise ParameterError(f"alpha must be finite and > 0, got {float(arr[bad].flat[0])}")
     return arr
 
 

@@ -22,85 +22,50 @@ from .strategies import AgentClass, SigPolicy, StrategyKind, TriggerPolicy
 
 __all__ = ["load_scenario", "parse_scenario_text", "builtin_scenarios", "scenario_to_text"]
 
+# key -> (type, default), in scenario-file order
 _SCHEMA = {
     # world / mission
-    "rows": int,
-    "cols": int,
-    "lethality": float,
-    "hazard_density": float,
-    "team_size": int,
-    "horizon": int,
-    "deployment_budget": int,
-    "strategy": str,
-    "master_seed": int,
-    "trials": int,
-    "base_cell": str,  # "center" or an integer cell index
+    "rows": (int, 10),
+    "cols": (int, 10),
+    "lethality": (float, 0.7),
+    "hazard_density": (float, 0.18),
+    "team_size": (int, 1),
+    "horizon": (int, 15),
+    "deployment_budget": (int, 40),
+    "strategy": (str, "std-itp"),
+    "master_seed": (int, 20240501),
+    "trials": (int, 25),
+    "base_cell": (str, "center"),  # "center" or an integer cell index
     # agents
-    "disposable_gamma": float,
-    "disposable_stock": int,
-    "highfid_gamma": float,
-    "highfid_stock": int,
+    "disposable_gamma": (float, 0.10),
+    "disposable_stock": (int, -1),  # -1: budget * team_size
+    "highfid_gamma": (float, 0.01),
+    "highfid_stock": (int, -1),     # -1: 2 * team_size
     # planner
-    "beam_width": int,
-    "mi_form": str,  # "posterior" | "channel"
+    "beam_width": (int, 64),
+    "mi_form": (str, "posterior"),  # "posterior" | "channel"
     # bapp-sig
-    "sig_alpha_min": float,
-    "sig_alpha_max": float,
-    "sig_halfwidth": float,
-    "sig_step": float,
+    "sig_alpha_min": (float, 0.5),
+    "sig_alpha_max": (float, 1.5),
+    "sig_halfwidth": (float, 0.2),
+    "sig_step": (float, 0.1),
     # bapp-tid
-    "tid_window": int,
-    "tid_theta_early": float,
-    "tid_phase_switch": int,
-    "tid_eps_min": float,
-    "tid_eps_max": float,
-    "tid_decay_rate": float,
-    "tid_alpha_explore": float,
-    "tid_alpha_hf": float,
+    "tid_window": (int, 3),
+    "tid_theta_early": (float, 0.02),
+    "tid_phase_switch": (int, -1),  # -1: 30% of the budget
+    "tid_eps_min": (float, 0.01),
+    "tid_eps_max": (float, 0.05),
+    "tid_decay_rate": (float, 0.001),
+    "tid_alpha_explore": (float, 1.2),
+    "tid_alpha_hf": (float, 1.0),
     # base relocation
-    "relocate": bool,
-    "relocation_cadence": int,
-    "explore_radius": float,
-    "search_radius": float,
-    "safety_threshold": float,
+    "relocate": (bool, False),
+    "relocation_cadence": (int, 1),
+    "explore_radius": (float, 8.0),
+    "search_radius": (float, 4.0),
+    "safety_threshold": (float, 0.6),
 }
-
-_DEFAULTS = {
-    "rows": 10,
-    "cols": 10,
-    "lethality": 0.7,
-    "hazard_density": 0.18,
-    "team_size": 1,
-    "horizon": 15,
-    "deployment_budget": 40,
-    "strategy": "std-itp",
-    "master_seed": 20240501,
-    "trials": 25,
-    "base_cell": "center",
-    "disposable_gamma": 0.10,
-    "disposable_stock": -1,  # -1: budget * team_size
-    "highfid_gamma": 0.01,
-    "highfid_stock": -1,     # -1: 2 * team_size
-    "beam_width": 64,
-    "mi_form": "posterior",
-    "sig_alpha_min": 0.5,
-    "sig_alpha_max": 1.5,
-    "sig_halfwidth": 0.2,
-    "sig_step": 0.1,
-    "tid_window": 3,
-    "tid_theta_early": 0.02,
-    "tid_phase_switch": -1,  # -1: 30% of the budget
-    "tid_eps_min": 0.01,
-    "tid_eps_max": 0.05,
-    "tid_decay_rate": 0.001,
-    "tid_alpha_explore": 1.2,
-    "tid_alpha_hf": 1.0,
-    "relocate": False,
-    "relocation_cadence": 1,
-    "explore_radius": 8.0,
-    "search_radius": 4.0,
-    "safety_threshold": 0.6,
-}
+_DEFAULTS = {key: default for key, (_, default) in _SCHEMA.items()}
 
 
 def _parse_bool(raw: str) -> bool:
@@ -125,7 +90,7 @@ def parse_scenario_text(text: str) -> dict:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _SCHEMA:
             raise ScenarioError(f"line {lineno}: unknown key {key!r}")
-        typ = _SCHEMA[key]
+        typ = _SCHEMA[key][0]
         try:
             value = _parse_bool(raw) if typ is bool else typ(raw)
         except ValueError as exc:
@@ -207,65 +172,27 @@ def _config_from_values(values: dict) -> tuple[MissionConfig, int]:
 # the 50%-entropy mark is reachable. Planner scoring uses the channel MI
 # form in these scenarios: its alpha < 1 regime prefers believed-safe cells,
 # which is what makes the loss-adaptive sweep visibly safer.
+_STUDY = {
+    "rows": 20, "cols": 20, "lethality": 0.9, "hazard_density": 0.05, "strategy": "bapp-tid",
+    "highfid_stock": 8, "beam_width": 32, "mi_form": "channel", "tid_alpha_explore": 0.8,
+}
 _BUILTINS = {
     "proof-10x10": {
-        "rows": 10, "cols": 10, "lethality": 0.7, "hazard_density": 0.03,
-        "team_size": 1, "horizon": 15, "deployment_budget": 250,
-        "highfid_stock": 24, "relocate": False,
+        "hazard_density": 0.03, "deployment_budget": 250, "highfid_stock": 24,
         "beam_width": 32, "mi_form": "channel", "tid_alpha_explore": 0.8,
     },
-    "scalability-20x20-n3": {
-        "rows": 20, "cols": 20, "lethality": 0.9, "hazard_density": 0.05,
-        "team_size": 3, "horizon": 15, "deployment_budget": 200,
-        "strategy": "bapp-tid", "relocate": False, "highfid_stock": 8,
-        "beam_width": 32, "mi_form": "channel", "tid_alpha_explore": 0.8,
-    },
-    "scalability-20x20-n5": {
-        "rows": 20, "cols": 20, "lethality": 0.9, "hazard_density": 0.05,
-        "team_size": 5, "horizon": 15, "deployment_budget": 150,
-        "strategy": "bapp-tid", "relocate": False, "highfid_stock": 8,
-        "beam_width": 32, "mi_form": "channel", "tid_alpha_explore": 0.8,
-    },
-    "scalability-20x20-n7": {
-        "rows": 20, "cols": 20, "lethality": 0.9, "hazard_density": 0.05,
-        "team_size": 7, "horizon": 15, "deployment_budget": 120,
-        "strategy": "bapp-tid", "relocate": False, "highfid_stock": 8,
-        "beam_width": 32, "mi_form": "channel", "tid_alpha_explore": 0.8,
-    },
-    "scalability-20x20-n15": {
-        "rows": 20, "cols": 20, "lethality": 0.9, "hazard_density": 0.05,
-        "team_size": 15, "horizon": 15, "deployment_budget": 60,
-        "strategy": "bapp-tid", "relocate": False, "highfid_stock": 8,
-        "beam_width": 32, "mi_form": "channel", "tid_alpha_explore": 0.8,
-    },
-    "energy-15x7": {
-        "rows": 20, "cols": 20, "lethality": 0.9, "hazard_density": 0.05,
-        "team_size": 15, "horizon": 7, "deployment_budget": 30,
-        "strategy": "bapp-tid", "relocate": True, "highfid_stock": 8,
-        "beam_width": 32, "mi_form": "channel", "tid_alpha_explore": 0.8,
-        "explore_radius": 8.0,
-    },
-    "energy-7x15": {
-        "rows": 20, "cols": 20, "lethality": 0.9, "hazard_density": 0.05,
-        "team_size": 7, "horizon": 15, "deployment_budget": 30,
-        "strategy": "bapp-tid", "relocate": True, "highfid_stock": 8,
-        "beam_width": 32, "mi_form": "channel", "tid_alpha_explore": 0.8,
-        "explore_radius": 16.0,
-    },
-    "energy-5x21": {
-        "rows": 20, "cols": 20, "lethality": 0.9, "hazard_density": 0.05,
-        "team_size": 5, "horizon": 21, "deployment_budget": 30,
-        "strategy": "bapp-tid", "relocate": True, "highfid_stock": 8,
-        "beam_width": 32, "mi_form": "channel", "tid_alpha_explore": 0.8,
-        "explore_radius": 22.0,
-    },
-    "energy-3x35": {
-        "rows": 20, "cols": 20, "lethality": 0.9, "hazard_density": 0.05,
-        "team_size": 3, "horizon": 35, "deployment_budget": 30,
-        "strategy": "bapp-tid", "relocate": True, "highfid_stock": 8,
-        "beam_width": 32, "mi_form": "channel", "tid_alpha_explore": 0.8,
-        "explore_radius": 36.0,
-    },
+    "scalability-20x20-n3": {**_STUDY, "team_size": 3, "deployment_budget": 200},
+    "scalability-20x20-n5": {**_STUDY, "team_size": 5, "deployment_budget": 150},
+    "scalability-20x20-n7": {**_STUDY, "team_size": 7, "deployment_budget": 120},
+    "scalability-20x20-n15": {**_STUDY, "team_size": 15, "deployment_budget": 60},
+    "energy-15x7": {**_STUDY, "team_size": 15, "horizon": 7, "deployment_budget": 30,
+                    "relocate": True, "explore_radius": 8.0},
+    "energy-7x15": {**_STUDY, "team_size": 7, "horizon": 15, "deployment_budget": 30,
+                    "relocate": True, "explore_radius": 16.0},
+    "energy-5x21": {**_STUDY, "team_size": 5, "horizon": 21, "deployment_budget": 30,
+                    "relocate": True, "explore_radius": 22.0},
+    "energy-3x35": {**_STUDY, "team_size": 3, "horizon": 35, "deployment_budget": 30,
+                    "relocate": True, "explore_radius": 36.0},
 }
 
 
@@ -277,8 +204,7 @@ def scenario_to_text(name: str) -> str:
     """Render a built-in scenario as a scenario file."""
     if name not in _BUILTINS:
         raise ScenarioError(f"unknown built-in scenario {name!r}")
-    values = dict(_DEFAULTS)
-    values.update(_BUILTINS[name])
+    values = {**_DEFAULTS, **_BUILTINS[name]}
     lines = [f"# scenario: {name}"]
     for key in _SCHEMA:
         v = values[key]
@@ -302,8 +228,6 @@ def load_scenario(source: str) -> tuple[MissionConfig, int]:
             raise ScenarioError(f"cannot read scenario file {source!r}: {exc}") from exc
         return _config_from_values(parse_scenario_text(text))
     if source in _BUILTINS:
-        values = dict(_DEFAULTS)
-        values.update(_BUILTINS[source])
-        return _config_from_values(values)
+        return _config_from_values({**_DEFAULTS, **_BUILTINS[source]})
     raise ScenarioError(f"scenario {source!r} is neither a file nor a built-in name "
                         f"(built-ins: {', '.join(builtin_scenarios())})")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .belief import (GridDims, GroundTruthMap, global_entropy, init_uniform,
                      update_on_failure, update_on_success)
-from .coordination import BasePose, RelocationPolicy, radial_partition, select_base_site
+from .coordination import RelocationPolicy, sector_masks, select_base_site
 from .errors import FleetExhaustedError, ParameterError, ScenarioError
 from .info_measures import BinaryChannel
 from .planner import PlanConfig, Trajectory
@@ -209,7 +209,7 @@ def run_trial(config: MissionConfig, trial: int) -> TrialMetrics:
     truth = generate_world(dims, config.hazard_density, config.lethality,
                            seed_stream(seed, trial, _TAG_WORLD))
     belief = init_uniform(dims)
-    base = BasePose(config.start_cell)
+    base = config.start_cell
     n = config.team_size
     fleet = FleetState(
         r_total=config.disposable.stock + config.high_fidelity.stock,
@@ -217,54 +217,33 @@ def run_trial(config: MissionConfig, trial: int) -> TrialMetrics:
         high_fidelity_remaining=config.high_fidelity.stock,
         entropy_history=[global_entropy(belief)],
     )
-    initial_stock = fleet.disposable_remaining + fleet.high_fidelity_remaining
     channels = config.channels()
     specs = {AgentClass.DISPOSABLE: config.disposable, AgentClass.HIGH_FIDELITY: config.high_fidelity}
 
     records = []
-    entropy_series = [global_entropy(belief)]
     loss_series = [0]
     base_track = []
     d50 = None
-    losses = 0
-    rounds_done = 0
 
     for d in range(1, config.deployment_budget + 1):
         if fleet.disposable_remaining + fleet.high_fidelity_remaining <= 0:
             break
         if config.relocate and d > 1 and (d - 1) % config.relocation.cadence == 0:
             base = select_base_site(belief, base, config.relocation, n)
-        base_track.append(base.cell)
-        if n > 1:
-            partition = radial_partition(base, dims, n)
-            # thin angular wedges need not touch the base under 9-connectivity,
-            # so every robot may cross the 3x3 hub around the base on its way out
-            br, bc = dims.to_rc(base.cell)
-            hub = frozenset(
-                dims.to_cell(r, c)
-                for r in range(max(0, br - 1), min(dims.rows, br + 2))
-                for c in range(max(0, bc - 1), min(dims.cols, bc + 2))
-            )
-            masks = [frozenset(int(c) for c in partition.sector_cells(s)) | hub
-                     for s in range(n)]
-        else:
-            masks = [None]
+        base_track.append(base)
         round_belief = belief  # planning snapshot: sectors cannot see each other's outcomes
-        exhausted = False
-        for sector in range(n):
-            plan_cfg = replace(config.plan, mask=masks[sector])
+        for sector, mask in enumerate(sector_masks(base, dims, n)):
+            plan_cfg = replace(config.plan, mask=mask)
             walk_rng = seed_stream(seed, trial, _TAG_WALK, d, sector)
             try:
                 cls, traj, alpha_used = select_deployment(
-                    config.strategy, fleet, round_belief, base.cell, plan_cfg, channels,
+                    config.strategy, fleet, round_belief, base, plan_cfg, channels,
                     sig=config.sig, trigger=config.trigger, rng=walk_rng)
             except FleetExhaustedError:
-                exhausted = True
-                break
+                break  # the next round's stock check ends the trial
             theta, fail_step = execute_deployment(
                 truth, traj, specs[cls], seed_stream(seed, trial, _TAG_FAILURE, d, sector))
             if theta == 1:
-                losses += 1
                 fleet.r_lost += 1
                 if cls is AgentClass.DISPOSABLE:
                     fleet.disposable_remaining -= 1
@@ -277,29 +256,22 @@ def run_trial(config: MissionConfig, trial: int) -> TrialMetrics:
                 trial=trial, round_index=d, sector=sector, agent_class=cls,
                 alpha_used=alpha_used, trajectory=traj, theta=theta,
                 failure_step=fail_step, entropy_bits=global_entropy(belief),
-                cum_losses=losses))
-        if exhausted and sector == 0:
-            base_track.pop()
-            break
-        rounds_done = d
+                cum_losses=fleet.r_lost))
         h = global_entropy(belief)
-        entropy_series.append(h)
-        loss_series.append(losses)
         fleet.deployment_index = d
         fleet.entropy_history.append(h)
+        loss_series.append(fleet.r_lost)
         if d50 is None and h <= 0.5:
             d50 = d
-        if exhausted:
-            break
 
     return TrialMetrics(
         trial=trial,
         records=records,
-        entropy_series=entropy_series,
+        entropy_series=fleet.entropy_history,
         loss_series=loss_series,
         base_track=base_track,
         deployments_to_half=d50,
-        rounds_executed=rounds_done,
-        initial_stock=initial_stock,
+        rounds_executed=fleet.deployment_index,
+        initial_stock=fleet.r_total,
         surviving_stock=fleet.disposable_remaining + fleet.high_fidelity_remaining,
     )

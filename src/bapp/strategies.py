@@ -31,6 +31,7 @@ __all__ = [
     "SigPolicy",
     "TriggerPolicy",
     "FleetState",
+    "MAX_SWEEP_STEPS",
     "sig_alpha",
     "sig_sweep_grid",
     "sig_select_path",
@@ -51,6 +52,11 @@ class StrategyKind(enum.Enum):
     BAPP_TID = "bapp-tid"
 
 
+# bound on 2 * sweep_halfwidth / sweep_step: one bapp-sig deployment plans
+# at most MAX_SWEEP_STEPS + 1 paths
+MAX_SWEEP_STEPS = 1000
+
+
 @dataclass(frozen=True)
 class SigPolicy:
     """Bounds and sweep shape for the loss-adaptive alpha strategy."""
@@ -65,6 +71,11 @@ class SigPolicy:
             raise ParameterError("need 0 < alpha_min <= alpha_max")
         if self.sweep_halfwidth < 0 or self.sweep_step <= 0:
             raise ParameterError("need sweep_halfwidth >= 0 and sweep_step > 0")
+        if not 2.0 * self.sweep_halfwidth / self.sweep_step <= MAX_SWEEP_STEPS:
+            raise ParameterError(f"need 2 * sweep_halfwidth / sweep_step <= {MAX_SWEEP_STEPS}")
+        # alpha_min is the lowest centre sig_alpha returns: if its sweep is not
+        # empty after clipping, no sweep is
+        sig_sweep_grid(self.alpha_min, self)
 
 
 @dataclass(frozen=True)
@@ -101,7 +112,8 @@ class TriggerPolicy:
 
 @dataclass
 class FleetState:
-    """Mutable per-mission bookkeeping shared by the strategies."""
+    """The one record of a mission's fleet: the strategies read it, run_trial
+    updates it and reports stock, losses, rounds and entropy from it."""
 
     r_total: int
     disposable_remaining: int

@@ -1,8 +1,9 @@
 """Acceptance gate: one test per shipped guarantee, each printing a PASS line.
 
 Criteria 6-8 run the shipped desk-scale scenarios end to end (25 paired-seed
-Monte Carlo trials each) and take a few minutes; run with `-s` to watch the
-PASS lines stream.
+Monte Carlo trials each) and take a few minutes; they carry the `slow`
+marker, so `pytest -m "not slow"` is the quick loop. Run with `-s` to watch
+the PASS lines stream.
 """
 
 import itertools
@@ -10,6 +11,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from bapp.belief import BeliefMap, GridDims, update_on_failure, update_on_success
 from bapp.experiment import run_experiment, theory_sweep, write_deployments_csv, write_theory_csvs
@@ -149,6 +151,7 @@ def _capped_d50(result):
     return result.capped_deployments_to_half()
 
 
+@pytest.mark.slow
 def test_criterion_6_desk_scale_orderings():
     tid = run_scenario("proof-10x10", strategy="bapp-tid", lethality=0.7)
     std = run_scenario("proof-10x10", strategy="std-itp", lethality=0.7)
@@ -185,6 +188,7 @@ def test_criterion_6_desk_scale_orderings():
           f"sig<=std losses on {seed_counts[0.7]}/{n} @0.7 and {seed_counts[0.9]}/{n} @0.9)")
 
 
+@pytest.mark.slow
 def test_criterion_7_team_size_speedup():
     r3 = run_scenario("scalability-20x20-n3")
     r15 = run_scenario("scalability-20x20-n15")
@@ -197,6 +201,7 @@ def test_criterion_7_team_size_speedup():
           f"(rounds-to-half n=3: {d3:.1f}, n=15: {d15:.1f}, speedup {speedup:.1%})")
 
 
+@pytest.mark.slow
 def test_criterion_8_energy_budget_shapes():
     names = ["energy-15x7", "energy-7x15", "energy-5x21", "energy-3x35"]
     finals = {}

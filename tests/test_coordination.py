@@ -4,33 +4,33 @@ import numpy as np
 import pytest
 
 from bapp.belief import BeliefMap, GridDims, init_uniform
-from bapp.coordination import (BasePose, RelocationPolicy, radial_partition, reachable_cells,
-                               regional_entropy, select_base_site)
+from bapp.coordination import (RelocationPolicy, radial_partition, reachable_cells,
+                               regional_entropy, sector_masks, select_base_site)
 from bapp.errors import ParameterError
 
 
 class TestRadialPartition:
     def test_single_sector_covers_all(self):
         dims = GridDims(4, 4)
-        part = radial_partition(BasePose(5), dims, 1)
+        part = radial_partition(5, dims, 1)
         assert np.all(part.assignment == 0)
 
     def test_partition_covers_grid_exactly_once(self):
         dims = GridDims(6, 7)
         for n in (2, 3, 5, 8):
-            part = radial_partition(BasePose(dims.to_cell(3, 3)), dims, n)
+            part = radial_partition(dims.to_cell(3, 3), dims, n)
             total = sum(len(part.sector_cells(s)) for s in range(n))
             assert total == dims.n_cells
 
     def test_base_cell_in_sector_zero(self):
         dims = GridDims(5, 5)
-        part = radial_partition(BasePose(12), dims, 6)
+        part = radial_partition(12, dims, 6)
         assert part.assignment[12] == 0
 
     def test_quadrants_match_angle_computation(self):
         dims = GridDims(5, 5)
         base = dims.to_cell(2, 2)
-        part = radial_partition(BasePose(base), dims, 4)
+        part = radial_partition(base, dims, 4)
         for cell in range(dims.n_cells):
             if cell == base:
                 continue
@@ -40,14 +40,37 @@ class TestRadialPartition:
 
     def test_invalid_sector_count(self):
         with pytest.raises(ParameterError):
-            radial_partition(BasePose(0), GridDims(3, 3), 0)
+            radial_partition(0, GridDims(3, 3), 0)
+
+
+class TestSectorMasks:
+    @staticmethod
+    def box(dims, base):
+        br, bc = dims.to_rc(base)
+        return {dims.to_cell(r, c)
+                for r in range(br - 1, br + 2) for c in range(bc - 1, bc + 2)
+                if 0 <= r < dims.rows and 0 <= c < dims.cols}
+
+    @pytest.mark.parametrize("base", [24, 0], ids=["centre", "corner"])
+    def test_wedge_plus_hub(self, base):
+        dims = GridDims(7, 7)
+        part = radial_partition(base, dims, 5)
+        hub = self.box(dims, base)
+        assert len(hub) == (9 if base == 24 else 4)
+        masks = sector_masks(base, dims, 5)
+        assert len(masks) == 5
+        for s, mask in enumerate(masks):
+            assert mask == {int(c) for c in part.sector_cells(s)} | hub
+
+    def test_one_robot_is_unmasked(self):
+        assert sector_masks(12, GridDims(5, 5), 1) == [None]
 
 
 class TestRegionalEntropy:
     def test_uniform_scores_one(self):
         dims = GridDims(7, 7)
         belief = init_uniform(dims)
-        part = radial_partition(BasePose(24), dims, 4)
+        part = radial_partition(24, dims, 4)
         policy = RelocationPolicy(explore_radius=3.0)
         means, score = regional_entropy(belief, 24, policy, part)
         assert np.allclose(means, 1.0)
@@ -56,7 +79,7 @@ class TestRegionalEntropy:
     def test_resolved_disc_scores_zero(self):
         dims = GridDims(7, 7)
         belief = BeliefMap(dims, np.zeros(49))
-        part = radial_partition(BasePose(24), dims, 3)
+        part = radial_partition(24, dims, 3)
         policy = RelocationPolicy(explore_radius=2.5)
         _, score = regional_entropy(belief, 24, policy, part)
         assert score == 0.0
@@ -68,7 +91,7 @@ class TestRegionalEntropy:
         probs = np.zeros(25)
         probs[[12, 7]] = 0.5
         belief = BeliefMap(dims, probs)
-        part = radial_partition(BasePose(12), dims, 1)
+        part = radial_partition(12, dims, 1)
         policy = RelocationPolicy(explore_radius=1.0)
         means, score = regional_entropy(belief, 12, policy, part)
         assert score == pytest.approx(0.4)
@@ -77,7 +100,7 @@ class TestRegionalEntropy:
         # a candidate in the corner leaves far sectors without nearby cells
         dims = GridDims(9, 9)
         belief = init_uniform(dims)
-        part = radial_partition(BasePose(0), dims, 8)
+        part = radial_partition(0, dims, 8)
         policy = RelocationPolicy(explore_radius=1.5)
         means, score = regional_entropy(belief, 0, policy, part)
         assert np.any(means == 0.0)
@@ -112,17 +135,17 @@ class TestSelectBaseSite:
         dims = GridDims(7, 7)
         belief = init_uniform(dims)
         policy = RelocationPolicy(explore_radius=2.0, search_radius=2.0, safety_threshold=0.6)
-        out = select_base_site(belief, BasePose(24), policy, 2)
+        out = select_base_site(belief, 24, policy, 2)
         box = [dims.to_cell(r, c) for r in range(1, 6) for c in range(1, 6)]
         # every box cell ties at score 1.0, so the smallest index wins
-        assert out.cell == min(box)
+        assert out == min(box)
 
     def test_unsafe_everywhere_stays(self):
         dims = GridDims(5, 5)
         belief = BeliefMap(dims, np.full(25, 0.9))
         policy = RelocationPolicy(search_radius=2.0, safety_threshold=0.6)
-        out = select_base_site(belief, BasePose(12), policy, 3)
-        assert out.cell == 12
+        out = select_base_site(belief, 12, policy, 3)
+        assert out == 12
 
     def test_prefers_candidate_near_unexplored_region(self):
         dims = GridDims(7, 7)
@@ -133,7 +156,7 @@ class TestSelectBaseSite:
         belief = BeliefMap(dims, probs)
         policy = RelocationPolicy(explore_radius=1.5, search_radius=1.0, safety_threshold=0.6)
         base = dims.to_cell(3, 3)
-        out = select_base_site(belief, BasePose(base), policy, 1)
+        out = select_base_site(belief, base, policy, 1)
         # exhaustive re-check over the box
         best = None
         reach = reachable_cells(belief, base, 0.6)
@@ -142,12 +165,12 @@ class TestSelectBaseSite:
                 cand = dims.to_cell(r, c)
                 if belief.probs[cand] >= 0.6 or not reach[cand]:
                     continue
-                part = radial_partition(BasePose(cand), dims, 1)
+                part = radial_partition(cand, dims, 1)
                 _, score = regional_entropy(belief, cand, policy, part)
                 if best is None or score > best[0]:
                     best = (score, cand)
-        assert out.cell == best[1]
-        br, bc = dims.to_rc(out.cell)
+        assert out == best[1]
+        br, bc = dims.to_rc(out)
         assert bc == 4  # moved toward the unknown strip
 
     def test_never_returns_unsafe_or_unreachable(self):
@@ -156,11 +179,11 @@ class TestSelectBaseSite:
         policy = RelocationPolicy(explore_radius=2.0, search_radius=3.0, safety_threshold=0.55)
         for _ in range(20):
             belief = BeliefMap(dims, rng.uniform(0.0, 1.0, 64))
-            base = BasePose(int(rng.integers(64)))
+            base = int(rng.integers(64))
             out = select_base_site(belief, base, policy, 3)
-            if out.cell != base.cell:
-                assert belief.probs[out.cell] < 0.55
-                assert reachable_cells(belief, base.cell, 0.55)[out.cell]
+            if out != base:
+                assert belief.probs[out] < 0.55
+                assert reachable_cells(belief, base, 0.55)[out]
 
     def test_monotone_vs_current_base(self):
         rng = np.random.default_rng(15)
@@ -168,10 +191,10 @@ class TestSelectBaseSite:
         policy = RelocationPolicy(explore_radius=2.5, search_radius=2.0, safety_threshold=0.7)
         for _ in range(20):
             belief = BeliefMap(dims, rng.uniform(0.0, 0.6, 64))
-            base = BasePose(int(rng.integers(64)))
+            base = int(rng.integers(64))
             out = select_base_site(belief, base, policy, 4)
             part_old = radial_partition(base, dims, 4)
             part_new = radial_partition(out, dims, 4)
-            _, s_old = regional_entropy(belief, base.cell, policy, part_old)
-            _, s_new = regional_entropy(belief, out.cell, policy, part_new)
+            _, s_old = regional_entropy(belief, base, policy, part_old)
+            _, s_new = regional_entropy(belief, out, policy, part_new)
             assert s_new >= s_old - 1e-12

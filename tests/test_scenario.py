@@ -1,7 +1,8 @@
 """Scenario loading is the one place a mission is checked.
 
 Bad files and flags must fail there with a ScenarioError, which the CLI
-turns into one stderr line and exit code 2 before any trial runs.
+turns into one stderr line and exit code 2 before any trial runs or any
+CSV is written; bad theory-sweep flags fail the same way.
 """
 
 from pathlib import Path
@@ -14,6 +15,7 @@ from bapp.cli import main
 from bapp.errors import ScenarioError
 from bapp.scenario import builtin_scenarios, load_scenario, scenario_to_text
 from bapp.sim import MissionConfig
+from bapp.strategies import MAX_SWEEP_STEPS, sig_sweep_grid
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -45,6 +47,10 @@ def test_shipped_files_match_builtins():
     pytest.param("explore_radius = nan", [], id="explore-radius-nan"),
     pytest.param("master_seed = -1", [], id="master-seed-negative"),
     pytest.param("deployment_budget = " + "9" * 400, [], id="budget-400-digits"),
+    pytest.param("sig_alpha_min = 0.1\nsig_halfwidth = 0.5\nsig_step = 2.0",
+                 ["--strategy", "bapp-sig"], id="sig-sweep-empty"),
+    pytest.param("sig_halfwidth = 1e300\nsig_step = 1e-300",
+                 ["--strategy", "bapp-sig"], id="sig-sweep-overflow"),
 ])
 def test_bad_input_exits_2_before_any_trial(tmp_path, capsys, extra_lines, extra_args):
     scen = tmp_path / "bad.txt"
@@ -69,7 +75,7 @@ VALUES = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(entries=st.dictionaries(st.sampled_from(KEYS), VALUES))
 def test_fuzzed_scenario_loads_or_raises_scenario_error(tmp_path_factory, entries):
-    # only loads: a tiny sig_step makes a bapp-sig trial arbitrarily long
+    # only loads: a bapp-sig trial may plan up to MAX_SWEEP_STEPS + 1 paths a deployment
     path = tmp_path_factory.getbasetemp() / "fuzz.txt"
     path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()), encoding="utf-8")
     try:
@@ -78,3 +84,19 @@ def test_fuzzed_scenario_loads_or_raises_scenario_error(tmp_path_factory, entrie
         return
     assert isinstance(config, MissionConfig)
     assert trials >= 1
+    for alpha_hat in (config.sig.alpha_min, config.sig.alpha_max):
+        assert 1 <= len(sig_sweep_grid(alpha_hat, config.sig)) <= MAX_SWEEP_STEPS + 1
+
+
+@pytest.mark.parametrize("flags", [
+    pytest.param(["--alpha-grid", "0,1"], id="alpha-0"),
+    pytest.param(["--alpha-grid", ","], id="alpha-empty"),
+    pytest.param(["--prior-grid", "1.5"], id="prior-above-1"),
+])
+def test_bad_theory_sweep_flag_exits_2(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    assert main(["theory-sweep", "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert not (out / "theory_sweep.csv").exists()

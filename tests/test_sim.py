@@ -162,13 +162,26 @@ class TestRunTrial:
             assert [s for r, s in zip(rounds, sectors) if r == d] == [0, 1, 2]
         assert len(tm.entropy_series) == tm.rounds_executed + 1
 
+    def test_fleet_runs_out_mid_round(self):
+        # the one robot is lost in sector 0, so sector 1 finds the fleet empty
+        cfg = small_config(team_size=3, deployment_budget=4,
+                           disposable=AgentSpec(AgentClass.DISPOSABLE, 0.99, 1),
+                           high_fidelity=AgentSpec(AgentClass.HIGH_FIDELITY, 0.01, 0))
+        tm = run_trial(cfg, 0)
+        assert [(r.round_index, r.sector, r.theta) for r in tm.records] == [(1, 0, 1)]
+        assert tm.rounds_executed == 1
+        assert len(tm.base_track) == tm.rounds_executed
+        assert len(tm.entropy_series) == tm.rounds_executed + 1
+        assert tm.loss_series == [0, 1]
+        assert (tm.initial_stock, tm.surviving_stock) == (1, 0)
+
     def test_paths_respect_sector_masks(self):
-        from bapp.coordination import BasePose, radial_partition
+        from bapp.coordination import radial_partition
         cfg = small_config(team_size=4, deployment_budget=3,
                            disposable=AgentSpec(AgentClass.DISPOSABLE, 0.10, 16))
         tm = run_trial(cfg, 2)
         start = cfg.start_cell
-        part = radial_partition(BasePose(start), cfg.dims, 4)
+        part = radial_partition(start, cfg.dims, 4)
         br, bc = cfg.dims.to_rc(start)
         hub = {cfg.dims.to_cell(r, c)
                for r in range(max(0, br - 1), min(cfg.dims.rows, br + 2))
