@@ -18,7 +18,8 @@ from .info_measures import (AlphaSearchResult, BehaviorParams, BinaryChannel, De
                             MiForm, behavioral_entropy, binary_behavioral_entropy,
                             binary_entropy, delta_mi, find_informative_alpha, mi_behavioral,
                             mi_bgs, prelec_weight, shannon_entropy)
-from .planner import PlanConfig, Trajectory, neighbors, per_cell_gain, plan_path, random_walk, score_path
+from .planner import (PlanConfig, Trajectory, neighbors, per_cell_gain, plan_path, plan_paths,
+                      random_walk, score_path)
 from .scenario import builtin_scenarios, load_scenario, parse_scenario_text, scenario_to_text
 from .sim import (AgentSpec, DeploymentRecord, MissionConfig, TrialMetrics, execute_deployment,
                   generate_world, run_trial, seed_stream)

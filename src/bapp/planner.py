@@ -2,13 +2,14 @@
 
 Motion primitives are the 8 surrounding cells plus stay-in-place. Candidate
 paths are scored by survival-discounted behavioral mutual information and
-searched with a width-limited beam; beam width None means exhaustive.
+searched with a width-limited beam held in numpy arrays, which plans any
+number of alphas in one pass; beam width None means exhaustive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -22,18 +23,23 @@ __all__ = [
     "neighbors",
     "score_path",
     "plan_path",
+    "plan_paths",
     "random_walk",
     "per_cell_gain",
 ]
 
-_NEIGHBOR_CACHE: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+_NEIGHBOR_CACHE: dict[tuple[int, int], tuple[tuple[tuple[int, ...], ...], np.ndarray]] = {}
 
 
-def _neighbor_table(dims: GridDims) -> tuple[tuple[int, ...], ...]:
-    """All 9-connected successors per cell (self included), ascending order."""
+def _neighbor_tables(dims: GridDims) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """All 9-connected successors per cell (self included), ascending order.
+
+    One cache entry holds them twice: as tuples, and as a read-only
+    (n_cells, 9) array whose rows are padded with -1 for the missing moves.
+    """
     key = (dims.rows, dims.cols)
-    table = _NEIGHBOR_CACHE.get(key)
-    if table is None:
+    entry = _NEIGHBOR_CACHE.get(key)
+    if entry is None:
         rows, cols = key
         out = []
         for r in range(rows):
@@ -46,8 +52,13 @@ def _neighbor_table(dims: GridDims) -> tuple[tuple[int, ...], ...]:
                             cells.append(rr * cols + cc)
                 out.append(tuple(sorted(cells)))
         table = tuple(out)
-        _NEIGHBOR_CACHE[key] = table
-    return table
+        padded = np.full((len(table), 9), -1, dtype=np.intp)
+        for cell, row in enumerate(table):
+            padded[cell, :len(row)] = row
+        padded.setflags(write=False)
+        entry = (table, padded)
+        _NEIGHBOR_CACHE[key] = entry
+    return entry
 
 
 @dataclass(frozen=True)
@@ -64,7 +75,7 @@ class Trajectory:
         if not dims.contains(self.start):
             raise ParameterError(f"start {self.start} outside grid")
         prev = self.start
-        table = _neighbor_table(dims)
+        table = _neighbor_tables(dims)[0]
         for c in self.cells:
             if not dims.contains(c):
                 raise ParameterError(f"cell {c} outside grid")
@@ -100,7 +111,7 @@ def neighbors(cell: int, dims: GridDims, mask: Optional[frozenset] = None) -> tu
     """
     if not dims.contains(cell):
         raise ParameterError(f"cell {cell} outside grid")
-    cand = _neighbor_table(dims)[cell]
+    cand = _neighbor_tables(dims)[0][cell]
     if mask is None:
         return cand
     return tuple(c for c in cand if c == cell or c in mask)
@@ -140,54 +151,80 @@ def score_path(belief: BeliefMap, path: Trajectory, channel: BinaryChannel,
     return float(total)
 
 
-def _rank_key(state):
-    return (-state[0], state[1])
+def plan_paths(belief: BeliefMap, start: int, config: PlanConfig, channel: BinaryChannel,
+               alphas: Sequence[float]) -> list[tuple[float, tuple[int, ...]]]:
+    """Beam search from `start` at every alpha of `alphas`, in one batched pass.
+
+    `config.alpha` is not read. Each alpha has its own beam; survival, the
+    successor table and the mask are shared. At each depth every retained
+    partial path is expanded through all its 9-connected successors, the
+    partial paths of one alpha are ranked by score with ties broken toward
+    the lexicographically smallest cell sequence, and the top beam_width
+    survive. Returns one (score, cells) per alpha, in the order given; the
+    score equals score_path of those cells at that alpha, to the bit.
+    Deterministic for fixed inputs.
+    """
+    dims = belief.dims
+    n = dims.n_cells
+    if not dims.contains(start):
+        raise ParameterError(f"start {start} outside grid")
+    if len(alphas) == 0:
+        raise ParameterError("no alpha to plan")
+    succ = _neighbor_tables(dims)[1]
+    mask = config.mask
+    if mask is not None:
+        if start not in mask:
+            raise ParameterError(f"start {start} outside the plan mask")
+        idx = np.fromiter(mask, dtype=np.intp, count=len(mask))
+        if idx.min() < 0 or idx.max() >= n:
+            raise ParameterError(f"plan mask cells must lie in [0, {n})")
+        allowed = np.zeros(n, dtype=bool)
+        allowed[idx] = True
+        # staying put is exempt from the mask
+        succ = np.where((succ >= 0) & (allowed[succ] | (succ == np.arange(n)[:, None])), succ, -1)
+    keep = 1.0 - cell_failure_prob(belief.probs, channel)
+    gain = np.stack([per_cell_gain(belief, channel, a, config.mi_form) for a in alphas])
+    width = config.beam_width
+
+    # One row per partial path: rows are grouped by alpha, groups ascending,
+    # and kept in lexicographic cell order within a group. The group key is
+    # the smallest unsigned type that holds it, which lets lexsort radix-sort
+    # it. The start cell is not marked visited: staying put is a first visit.
+    group = np.arange(len(alphas), dtype=np.min_scalar_type(len(alphas) - 1))
+    score = np.zeros(len(alphas))
+    surv = np.ones(len(alphas))
+    cells = np.empty((len(alphas), 0), dtype=np.intp)
+    visited = np.zeros((len(alphas), n), dtype=bool)
+    last = np.full(len(alphas), start, dtype=np.intp)
+    for _ in range(config.horizon):
+        cand = succ[last]
+        # parent-major, successors ascending: children stay in lexicographic order
+        p, j = np.nonzero(cand >= 0)
+        c = cand[p, j]
+        group, prev_score, prev_surv = group[p], score[p], surv[p]
+        score = np.where(visited[p, c], prev_score, prev_score + prev_surv * gain[group, c])
+        surv = prev_surv * keep[c]
+        if width is not None:
+            # stable, so equal scores keep their lexicographic order; groups
+            # hold the same positions in `order` as in the rows, so a position
+            # minus its group's first row is the rank within the group
+            order = np.lexsort((-score, group))
+            rank = np.arange(len(group)) - np.searchsorted(group, group)
+            kept = np.sort(order[rank < width])
+            p, c, score, surv, group = p[kept], c[kept], score[kept], surv[kept], group[kept]
+        cells = np.concatenate((cells[p], c[:, None]), axis=1)
+        visited = visited[p]
+        visited[np.arange(len(c)), c] = True
+        last = c
+    order = np.lexsort((-score, group))
+    heads = order[np.flatnonzero(np.r_[True, group[1:] != group[:-1]])]
+    return [(float(score[i]), tuple(cells[i].tolist())) for i in heads]
 
 
 def plan_path(belief: BeliefMap, start: int, config: PlanConfig, channel: BinaryChannel) -> Trajectory:
-    """Beam search for the best fixed-horizon trajectory from `start`.
-
-    At each depth every retained partial path is expanded through all its
-    9-connected successors, partial paths are ranked by score with ties
-    broken toward the lexicographically smallest cell sequence, and the top
-    beam_width survive. Deterministic for fixed inputs.
-    """
-    dims = belief.dims
-    if not dims.contains(start):
-        raise ParameterError(f"start {start} outside grid")
-    mask = config.mask
-    if mask is not None and start not in mask:
-        raise ParameterError(f"start {start} outside the plan mask")
-    gain = per_cell_gain(belief, channel, config.alpha, config.mi_form)
-    keep = 1.0 - cell_failure_prob(belief.probs, channel)
-    table = _neighbor_table(dims)
-    gain_l = gain.tolist()
-    keep_l = keep.tolist()
-    if mask is not None:
-        # pre-filter successor lists; staying put is exempt from the mask
-        table = tuple(
-            tuple(c for c in row if c == cell or c in mask)
-            for cell, row in enumerate(table)
-        )
-
-    # state: (score, cells, survival, visited bitmask)
-    beam = [(0.0, (), 1.0, 0)]
-    width = config.beam_width
-    for _ in range(config.horizon):
-        nxt = []
-        append = nxt.append
-        for score, cells, surv, visited in beam:
-            prev = cells[-1] if cells else start
-            for c in table[prev]:
-                bit = 1 << c
-                if visited & bit:
-                    append((score, cells + (c,), surv * keep_l[c], visited))
-                else:
-                    append((score + surv * gain_l[c], cells + (c,), surv * keep_l[c], visited | bit))
-        nxt.sort(key=_rank_key)
-        beam = nxt if width is None else nxt[:width]
-    best = beam[0]
-    return Trajectory(start=start, cells=best[1])
+    """Best fixed-horizon trajectory from `start` at config.alpha (see plan_paths)."""
+    [(_, cells)] = plan_paths(belief, start, config, channel, (config.alpha,))
+    return Trajectory(start=start, cells=cells)
 
 
 def random_walk(start: int, horizon: int, dims: GridDims, mask: Optional[frozenset],

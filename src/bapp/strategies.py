@@ -23,7 +23,7 @@ import numpy as np
 from .belief import BeliefMap
 from .errors import FleetExhaustedError, ParameterError
 from .info_measures import BinaryChannel
-from .planner import PlanConfig, Trajectory, plan_path, random_walk, score_path
+from .planner import PlanConfig, Trajectory, plan_path, plan_paths, random_walk
 
 __all__ = [
     "AgentClass",
@@ -159,18 +159,15 @@ def sig_select_path(fleet: FleetState, policy: SigPolicy, belief: BeliefMap, sta
                     plan: PlanConfig, channel: BinaryChannel) -> tuple[Trajectory, float]:
     """Plan one path per sweep alpha and keep the highest-scoring one.
 
-    Each candidate is scored by its expected information at its own alpha;
-    ties go to the smaller alpha.
+    The whole sweep is one plan_paths call. Each candidate is scored by its
+    expected information at its own alpha; ties go to the smaller alpha.
     """
-    alpha_hat = sig_alpha(fleet, policy)
+    alphas = sig_sweep_grid(sig_alpha(fleet, policy), policy)
     best = None
-    for a in sig_sweep_grid(alpha_hat, policy):
-        cfg = replace(plan, alpha=a)
-        traj = plan_path(belief, start, cfg, channel)
-        s = score_path(belief, traj, channel, a, plan.mi_form)
+    for a, (s, cells) in zip(alphas, plan_paths(belief, start, plan, channel, alphas)):
         if best is None or s > best[0]:
-            best = (s, a, traj)
-    return best[2], best[1]
+            best = (s, a, cells)
+    return Trajectory(start=start, cells=best[2]), best[1]
 
 
 def tid_should_trigger(fleet: FleetState, policy: TriggerPolicy) -> bool:

@@ -1,14 +1,64 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bapp.belief import BeliefMap, GridDims, init_uniform
+from bapp.belief import BeliefMap, GridDims, cell_failure_prob, init_uniform
 from bapp.errors import ParameterError
 from bapp.info_measures import BinaryChannel, MiForm, mi_bgs
 from bapp.oracles import exhaustive_plan
-from bapp.planner import (PlanConfig, Trajectory, neighbors, plan_path, random_walk, score_path)
+from bapp.planner import (PlanConfig, Trajectory, neighbors, per_cell_gain, plan_path, plan_paths,
+                          random_walk, score_path)
 
 CH = BinaryChannel(0.9, 0.1)
 D3 = GridDims(3, 3)
+
+
+def _rank_key(state):
+    return (-state[0], state[1])
+
+
+def reference_plan_path(belief: BeliefMap, start: int, config: PlanConfig,
+                        channel: BinaryChannel) -> Trajectory:
+    """The tuple-and-bitmask beam that plan_path replaced, kept as its reference."""
+    dims = belief.dims
+    if not dims.contains(start):
+        raise ParameterError(f"start {start} outside grid")
+    mask = config.mask
+    if mask is not None and start not in mask:
+        raise ParameterError(f"start {start} outside the plan mask")
+    gain = per_cell_gain(belief, channel, config.alpha, config.mi_form)
+    keep = 1.0 - cell_failure_prob(belief.probs, channel)
+    table = tuple(neighbors(cell, dims) for cell in range(dims.n_cells))
+    gain_l = gain.tolist()
+    keep_l = keep.tolist()
+    if mask is not None:
+        # pre-filter successor lists; staying put is exempt from the mask
+        table = tuple(
+            tuple(c for c in row if c == cell or c in mask)
+            for cell, row in enumerate(table)
+        )
+
+    # state: (score, cells, survival, visited bitmask)
+    beam = [(0.0, (), 1.0, 0)]
+    width = config.beam_width
+    for _ in range(config.horizon):
+        nxt = []
+        append = nxt.append
+        for score, cells, surv, visited in beam:
+            prev = cells[-1] if cells else start
+            for c in table[prev]:
+                bit = 1 << c
+                if visited & bit:
+                    append((score, cells + (c,), surv * keep_l[c], visited))
+                else:
+                    append((score + surv * gain_l[c], cells + (c,), surv * keep_l[c], visited | bit))
+        nxt.sort(key=_rank_key)
+        beam = nxt if width is None else nxt[:width]
+    best = beam[0]
+    return Trajectory(start=start, cells=best[1])
 
 
 class TestNeighbors:
@@ -98,10 +148,19 @@ class TestPlanPath:
 
     def test_unbounded_beam_matches_exhaustive(self):
         rng = np.random.default_rng(19)
-        cfg = PlanConfig(horizon=3, beam_width=None, alpha=1.0)
-        for _ in range(10):
-            b = BeliefMap(D3, rng.uniform(0.02, 0.98, 9))
-            assert plan_path(b, 4, cfg, CH) == exhaustive_plan(b, 4, 3, CH, 1.0)
+        for dims, horizon in ((D3, 3), (GridDims(4, 4), 3), (GridDims(4, 4), 4)):
+            start = dims.n_cells // 2
+            for k in range(10):
+                b = BeliefMap(dims, rng.uniform(0.02, 0.98, dims.n_cells))
+                alpha = (1.0, 0.6, 1.7)[k % 3]
+                form = (MiForm.POSTERIOR, MiForm.CHANNEL)[k % 2]
+                mask = None
+                if k >= 5:
+                    mask = frozenset(np.flatnonzero(rng.random(dims.n_cells) < 0.6).tolist()) | {start}
+                cfg = PlanConfig(horizon=horizon, beam_width=None, alpha=alpha, mi_form=form,
+                                 mask=mask)
+                want = exhaustive_plan(b, start, horizon, CH, alpha, form, mask)
+                assert plan_path(b, start, cfg, CH) == want
 
     def test_score_monotone_in_beam_width(self):
         rng = np.random.default_rng(21)
@@ -136,6 +195,53 @@ class TestPlanPath:
         cfg = PlanConfig(horizon=2, beam_width=4, alpha=1.0, mask=frozenset({0, 1}))
         with pytest.raises(ParameterError):
             plan_path(b, 4, cfg, CH)
+
+    @pytest.mark.parametrize("outside", [-1, 9, 99])
+    def test_mask_cell_outside_grid_rejected(self, outside):
+        b = init_uniform(D3)
+        cfg = PlanConfig(horizon=2, beam_width=4, alpha=1.0, mask=frozenset({4, outside}))
+        with pytest.raises(ParameterError):
+            plan_path(b, 4, cfg, CH)
+        with pytest.raises(ParameterError):
+            plan_paths(b, 4, cfg, CH, (0.5, 1.0))
+
+    def test_empty_sweep_rejected(self):
+        with pytest.raises(ParameterError):
+            plan_paths(init_uniform(D3), 4, PlanConfig(horizon=2), CH, ())
+
+
+@st.composite
+def _sweep_plans(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    dims = GridDims(rows, cols)
+    # quantised priors, so that scores tie
+    probs = draw(st.lists(st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)),
+                          min_size=dims.n_cells, max_size=dims.n_cells))
+    start = draw(st.integers(0, dims.n_cells - 1))
+    mask = draw(st.none() | st.sets(st.integers(0, dims.n_cells - 1)))
+    if mask is not None:
+        mask = frozenset(mask | {start})
+    width = draw(st.sampled_from((1, 8, 32, None)))
+    horizon = draw(st.integers(1, 4 if width is None else 15))
+    cfg = PlanConfig(horizon=horizon, beam_width=width, mi_form=draw(st.sampled_from(MiForm)),
+                     mask=mask)
+    alphas = draw(st.lists(st.sampled_from((0.3, 0.5, 0.8, 1.0, 1.2, 1.5, 2.0)),
+                           min_size=1, max_size=5))
+    channel = draw(st.sampled_from((CH, BinaryChannel(0.7, 0.1), BinaryChannel(0.5, 0.0))))
+    return BeliefMap(dims, np.array(probs)), start, cfg, alphas, channel
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_sweep_plans())
+def test_batched_beam_matches_reference_beam(case):
+    belief, start, cfg, alphas, channel = case
+    got = plan_paths(belief, start, cfg, channel, alphas)
+    assert len(got) == len(alphas)
+    for a, (score, cells) in zip(alphas, got):
+        ref = reference_plan_path(belief, start, replace(cfg, alpha=a), channel)
+        assert cells == ref.cells
+        assert score == score_path(belief, ref, channel, a, cfg.mi_form)
+    assert plan_path(belief, start, replace(cfg, alpha=alphas[0]), channel).cells == got[0][1]
 
 
 class TestRandomWalk:

@@ -81,19 +81,23 @@ class TestSigSelectPath:
         assert alpha == pytest.approx(0.8)
 
     def test_returned_score_is_sweep_max(self):
+        # the per-alpha loop the batched sweep replaced: ties go to the smaller alpha
+        from dataclasses import replace
         rng = np.random.default_rng(11)
-        b = BeliefMap(GridDims(5, 5), rng.uniform(0.05, 0.95, 25))
         plan = PlanConfig(horizon=5, beam_width=16, mi_form=MiForm.CHANNEL)
         pol = SigPolicy(alpha_min=0.5, alpha_max=1.5, sweep_halfwidth=0.2, sweep_step=0.1)
-        f = fleet(3, disp=10, hf=5)
-        traj, alpha = sig_select_path(f, pol, b, 12, plan, CH)
-        got = score_path(b, traj, CH, alpha, plan.mi_form)
-        from dataclasses import replace
-        best = -1.0
-        for a in sig_sweep_grid(sig_alpha(f, pol), pol):
-            t = plan_path(b, 12, replace(plan, alpha=a), CH)
-            best = max(best, score_path(b, t, CH, a, plan.mi_form))
-        assert got == pytest.approx(best, abs=1e-12)
+        for r_lost in (0, 3, 7, 11, 15):
+            f = fleet(r_lost, disp=10, hf=5)
+            b = BeliefMap(GridDims(5, 5), rng.uniform(0.05, 0.95, 25))
+            traj, alpha = sig_select_path(f, pol, b, 12, plan, CH)
+            best = None
+            for a in sig_sweep_grid(sig_alpha(f, pol), pol):
+                t = plan_path(b, 12, replace(plan, alpha=a), CH)
+                s = score_path(b, t, CH, a, plan.mi_form)
+                if best is None or s > best[0]:
+                    best = (s, a, t)
+            assert score_path(b, traj, CH, alpha, plan.mi_form) == best[0]
+            assert (alpha, traj) == (best[1], best[2])
 
     def test_low_loss_sweep_prefers_safer_cells(self):
         # a high-uncertainty pocket next to suspected hazards: the sweep at
