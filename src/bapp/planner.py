@@ -8,6 +8,7 @@ number of alphas in one pass; beam width None means exhaustive.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -151,6 +152,34 @@ def score_path(belief: BeliefMap, path: Trajectory, channel: BinaryChannel,
     return float(total)
 
 
+def _mask_cells(start: int, mask: frozenset, n: int) -> np.ndarray:
+    """The cells of a plan mask, after checking it holds `start` and lies in [0, n)."""
+    if start not in mask:
+        raise ParameterError(f"start {start} outside the plan mask")
+    idx = np.fromiter(mask, dtype=np.intp, count=len(mask))
+    if idx.min() < 0 or idx.max() >= n:
+        raise ParameterError(f"plan mask cells must lie in [0, {n})")
+    return idx
+
+
+# Every sector of a round plans against the same belief, so the gain and
+# survival arrays are computed once per round. BeliefMap hashes by identity
+# and its probs are read-only, and the cache holds each key's belief alive,
+# so a hit is always for the very same probabilities.
+@functools.lru_cache(maxsize=16)
+def _round_gain(belief: BeliefMap, channel: BinaryChannel, alpha: float, form: MiForm) -> np.ndarray:
+    gain = per_cell_gain(belief, channel, alpha, form)
+    gain.setflags(write=False)
+    return gain
+
+
+@functools.lru_cache(maxsize=16)
+def _round_keep(belief: BeliefMap, channel: BinaryChannel) -> np.ndarray:
+    keep = 1.0 - cell_failure_prob(belief.probs, channel)
+    keep.setflags(write=False)
+    return keep
+
+
 def plan_paths(belief: BeliefMap, start: int, config: PlanConfig, channel: BinaryChannel,
                alphas: Sequence[float]) -> list[tuple[float, tuple[int, ...]]]:
     """Beam search from `start` at every alpha of `alphas`, in one batched pass.
@@ -173,17 +202,12 @@ def plan_paths(belief: BeliefMap, start: int, config: PlanConfig, channel: Binar
     succ = _neighbor_tables(dims)[1]
     mask = config.mask
     if mask is not None:
-        if start not in mask:
-            raise ParameterError(f"start {start} outside the plan mask")
-        idx = np.fromiter(mask, dtype=np.intp, count=len(mask))
-        if idx.min() < 0 or idx.max() >= n:
-            raise ParameterError(f"plan mask cells must lie in [0, {n})")
         allowed = np.zeros(n, dtype=bool)
-        allowed[idx] = True
+        allowed[_mask_cells(start, mask, n)] = True
         # staying put is exempt from the mask
         succ = np.where((succ >= 0) & (allowed[succ] | (succ == np.arange(n)[:, None])), succ, -1)
-    keep = 1.0 - cell_failure_prob(belief.probs, channel)
-    gain = np.stack([per_cell_gain(belief, channel, a, config.mi_form) for a in alphas])
+    keep = _round_keep(belief, channel)
+    gain = np.stack([_round_gain(belief, channel, a, config.mi_form) for a in alphas])
     width = config.beam_width
 
     # One row per partial path: rows are grouped by alpha, groups ascending,
@@ -232,6 +256,8 @@ def random_walk(start: int, horizon: int, dims: GridDims, mask: Optional[frozens
     """Uniform 9-connected walk of fixed length; reproducible per rng state."""
     if not dims.contains(start):
         raise ParameterError(f"start {start} outside grid")
+    if mask is not None:
+        _mask_cells(start, mask, dims.n_cells)
     cells = []
     cur = start
     for _ in range(horizon):

@@ -1,12 +1,68 @@
 import math
+from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bapp import sim
 from bapp.belief import BeliefMap, GridDims, init_uniform
-from bapp.coordination import (RelocationPolicy, radial_partition, reachable_cells,
-                               regional_entropy, sector_masks, select_base_site)
+from bapp.coordination import (RelocationPolicy, _site_scores, radial_partition,
+                               reachable_cells, regional_entropy, sector_masks, select_base_site)
 from bapp.errors import ParameterError
+from bapp.planner import neighbors
+from bapp.scenario import load_scenario
+from bapp.strategies import StrategyKind
+
+
+def reference_partition(base: int, dims: GridDims, n: int) -> np.ndarray:
+    """The arctan2 formula that radial_partition's offset-table gather replaced."""
+    br, bc = dims.to_rc(base)
+    rows = np.arange(dims.n_cells) // dims.cols
+    cols = np.arange(dims.n_cells) % dims.cols
+    theta = np.arctan2(rows - br, cols - bc)
+    theta = np.mod(theta, 2.0 * math.pi)
+    sectors = np.minimum((n * theta / (2.0 * math.pi)).astype(int), n - 1)
+    sectors[base] = 0
+    return sectors
+
+
+def reference_reachable_cells(belief: BeliefMap, start: int, safety_threshold: float) -> np.ndarray:
+    """The cell-by-cell queue BFS that reachable_cells' ring-at-a-time search replaced."""
+    dims = belief.dims
+    free = belief.probs < safety_threshold
+    reach = np.zeros(dims.n_cells, dtype=bool)
+    if not free[start]:
+        return reach
+    reach[start] = True
+    queue = deque([start])
+    while queue:
+        for nxt in neighbors(queue.popleft(), dims):
+            if free[nxt] and not reach[nxt]:
+                reach[nxt] = True
+                queue.append(nxt)
+    return reach
+
+
+def reference_select_base_site(belief: BeliefMap, base: int, policy: RelocationPolicy, n: int) -> int:
+    """The per-candidate loop that select_base_site replaced, kept as its reference."""
+    dims = belief.dims
+    reach = reference_reachable_cells(belief, base, policy.safety_threshold)
+    br, bc = dims.to_rc(base)
+    r_s = int(math.floor(policy.search_radius))
+    best = None
+    for r in range(max(0, br - r_s), min(dims.rows, br + r_s + 1)):
+        for c in range(max(0, bc - r_s), min(dims.cols, bc + r_s + 1)):
+            cand = dims.to_cell(r, c)
+            if not reach[cand]:
+                continue
+            part = radial_partition(cand, dims, n)
+            _, score = regional_entropy(belief, cand, policy, part)
+            if best is None or score > best[0]:
+                best = (score, cand)
+    return base if best is None else best[1]
 
 
 class TestRadialPartition:
@@ -41,6 +97,14 @@ class TestRadialPartition:
     def test_invalid_sector_count(self):
         with pytest.raises(ParameterError):
             radial_partition(0, GridDims(3, 3), 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 15])
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (3, 7), (10, 10), (20, 20)])
+    def test_table_gather_matches_angle_formula(self, rows, cols, n):
+        dims = GridDims(rows, cols)
+        for base in range(dims.n_cells):
+            assert np.array_equal(radial_partition(base, dims, n).assignment,
+                                  reference_partition(base, dims, n))
 
 
 class TestSectorMasks:
@@ -129,6 +193,17 @@ class TestReachability:
         assert reachable_cells(belief, 5, 0.6)[9]
         assert not reachable_cells(belief, 5, 0.6)[2]
 
+    def test_matches_queue_bfs(self):
+        rng = np.random.default_rng(17)
+        for rows, cols in ((1, 1), (1, 9), (6, 4), (20, 20)):
+            dims = GridDims(rows, cols)
+            for _ in range(25):
+                belief = BeliefMap(dims, rng.uniform(0.0, 1.0, dims.n_cells))
+                start = int(rng.integers(dims.n_cells))
+                got = reachable_cells(belief, start, 0.6)
+                assert got.shape == (dims.n_cells,)
+                assert np.array_equal(got, reference_reachable_cells(belief, start, 0.6))
+
 
 class TestSelectBaseSite:
     def test_uniform_moves_to_lowest_index_candidate(self):
@@ -198,3 +273,43 @@ class TestSelectBaseSite:
             _, s_old = regional_entropy(belief, base, policy, part_old)
             _, s_new = regional_entropy(belief, out, policy, part_new)
             assert s_new >= s_old - 1e-12
+
+
+@st.composite
+def _relocations(draw):
+    dims = GridDims(draw(st.integers(1, 20)), draw(st.integers(1, 20)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    probs = rng.uniform(0.0, 0.7, dims.n_cells)
+    # quantise some cells, so that candidate scores tie exactly
+    quantised = rng.random(dims.n_cells) < draw(st.sampled_from((0.0, 0.5, 1.0)))
+    probs[quantised] = rng.choice((0.0, 0.25, 0.5), int(quantised.sum()))
+    policy = RelocationPolicy(explore_radius=draw(st.sampled_from((1.5, 8.0, 16.0, 36.0))),
+                              search_radius=draw(st.sampled_from((1.0, 4.0))))
+    base = draw(st.integers(0, dims.n_cells - 1))
+    n = draw(st.sampled_from((1, 2, 3, 5, 7, 15)))
+    return BeliefMap(dims, probs), base, policy, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_relocations())
+def test_select_base_site_matches_reference_loop(case):
+    belief, base, policy, n = case
+    assert select_base_site(belief, base, policy, n) == reference_select_base_site(belief, base, policy, n)
+    for cand, score in zip(*_site_scores(belief, base, policy, n)):
+        part = radial_partition(cand, belief.dims, n)
+        assert score == regional_entropy(belief, cand, policy, part)[1]
+
+
+def test_near_tie_relocation_matches_reference_loop(monkeypatch):
+    # At the 13th relocation (round 14) candidates 199 and 219 hold the same
+    # multiset of 331 entropies; only the summation order of each sector
+    # mean separates them, by one ulp, so a sum in any other order (a
+    # weighted bincount, say) moves the base to 199 instead.
+    config, _ = load_scenario("energy-3x35")
+    config = replace(config, strategy=StrategyKind.STD_ITP, master_seed=7)
+    got = sim.run_trial(config, 0)
+    monkeypatch.setattr(sim, "select_base_site", reference_select_base_site)
+    want = sim.run_trial(config, 0)
+    assert want.base_track[13] == 219
+    assert got.base_track == want.base_track
+    assert got.records == want.records

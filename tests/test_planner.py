@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bapp.belief import BeliefMap, GridDims, cell_failure_prob, init_uniform
+from bapp import planner
+from bapp.belief import BeliefMap, GridDims, cell_failure_prob, init_uniform, update_on_success
 from bapp.errors import ParameterError
 from bapp.info_measures import BinaryChannel, MiForm, mi_bgs
 from bapp.oracles import exhaustive_plan
@@ -244,6 +245,44 @@ def test_batched_beam_matches_reference_beam(case):
     assert plan_path(belief, start, replace(cfg, alpha=alphas[0]), channel).cells == got[0][1]
 
 
+class TestRoundGainMemo:
+    @staticmethod
+    def belief(seed):
+        return BeliefMap(GridDims(5, 5), np.random.default_rng(seed).uniform(0.05, 0.95, 25))
+
+    def test_cached_arrays_are_read_only(self):
+        b = self.belief(31)
+        plan_paths(b, 12, PlanConfig(horizon=3, beam_width=8), CH, (0.8, 1.0))
+        for arr in (planner._round_gain(b, CH, 0.8, MiForm.POSTERIOR), planner._round_keep(b, CH)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_updated_belief_is_not_a_stale_hit(self):
+        b1 = self.belief(37)
+        cfg = PlanConfig(horizon=3, beam_width=8, mi_form=MiForm.CHANNEL)
+        plan_paths(b1, 12, cfg, CH, (0.8, 1.0))
+        b2 = update_on_success(b1, (6, 7, 12), CH)
+        plan_paths(b2, 12, cfg, CH, (0.8, 1.0))
+        for a in (0.8, 1.0):
+            fresh = per_cell_gain(b2, CH, a, cfg.mi_form)
+            assert np.array_equal(planner._round_gain(b2, CH, a, cfg.mi_form), fresh)
+            assert not np.array_equal(planner._round_gain(b1, CH, a, cfg.mi_form), fresh)
+        assert np.array_equal(planner._round_keep(b2, CH), 1.0 - cell_failure_prob(b2.probs, CH))
+
+    def test_warm_cache_plans_equal_cold(self):
+        b = self.belief(41)
+        cfg = PlanConfig(horizon=5, beam_width=16, mask=frozenset(range(5, 20)))
+        alphas = (0.6, 0.8, 1.0, 1.2)
+        planner._round_gain.cache_clear()
+        planner._round_keep.cache_clear()
+        cold = plan_paths(b, 12, cfg, CH, alphas)
+        hits = planner._round_gain.cache_info().hits
+        warm = plan_paths(b, 12, cfg, CH, alphas)
+        assert planner._round_gain.cache_info().hits == hits + len(alphas)
+        assert warm == cold
+
+
 class TestRandomWalk:
     def test_reproducible(self):
         a = random_walk(4, 10, D3, None, np.random.default_rng(5))
@@ -261,3 +300,16 @@ class TestRandomWalk:
         t = random_walk(4, 40, dims, row, np.random.default_rng(2))
         assert set(t.cells) <= row
         t.validate(dims, mask=row)
+
+    @pytest.mark.parametrize("outside", [-1, 9, 99])
+    def test_mask_cell_outside_grid_rejected(self, outside):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ParameterError, match=r"plan mask cells must lie in \[0, 9\)"):
+            random_walk(4, 5, D3, frozenset({4, outside}), rng)
+        assert rng.bit_generator.state == state
+
+    def test_start_outside_mask_rejected(self):
+        for start, mask in ((0, frozenset({8})), (4, frozenset({-1, 99}))):
+            with pytest.raises(ParameterError, match=f"start {start} outside the plan mask"):
+                random_walk(start, 5, D3, mask, np.random.default_rng(4))
