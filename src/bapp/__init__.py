@@ -1,7 +1,8 @@
 """Risk-sensitive informative path planning over hazard belief maps.
 
 Core pieces: Prelec-weighted behavioral entropy and mutual information,
-exact Bayesian belief updates from binary deployment outcomes, beam-search
+belief updates from binary deployment outcomes (the exact per-deployment
+marginal update, re-factorised after each deployment), beam-search
 trajectory planning, loss-adaptive and trigger-based deployment strategies,
 radial partitioning with mobile-base relocation, and a deterministic Monte
 Carlo mission simulator with a CLI.

@@ -1,8 +1,11 @@
-"""Grid hazard belief map and exact Bayesian updates from path outcomes.
+"""Grid hazard belief map and its updates from path outcomes.
 
 Cells are indexed row-major: cell = row * cols + col. Beliefs are per-cell
 hazard probabilities, mutually independent by construction; updates return
-new read-only snapshots. The only evidence source is the binary outcome of
+new read-only snapshots. Each update is the exact per-deployment marginal
+update, re-factorised after each deployment: a loss couples the cells of
+its path, and the belief keeps only their marginals, so it is not exact
+Bayes across deployments. The only evidence source is the binary outcome of
 a whole deployment: theta = 0 (robot returned) or theta = 1 (robot lost
 somewhere along its path).
 """

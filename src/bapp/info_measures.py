@@ -128,6 +128,23 @@ def _check_alpha(alpha):
     return arr
 
 
+def _pow(x, alpha):
+    """x ** alpha, where each element of an alpha array gets the bits of a 0-d exponent.
+
+    numpy's ** takes np.square for a 0-d exponent of 2.0 and np.sqrt for 0.5,
+    but np.power for an array of exponents, and the two can differ in the
+    last bit. The planner evaluates a whole alpha sweep in one call, and
+    each of its rows must equal the one-alpha call.
+    """
+    out = x ** alpha
+    if np.ndim(alpha):
+        for exponent, fast in ((2.0, np.square), (0.5, np.sqrt)):
+            hit = alpha == exponent
+            if hit.any():
+                np.copyto(out, fast(x), where=hit)
+    return out
+
+
 def _prelec(p, alpha, beta):
     """w(p) on arrays already validated, with w(0)=0 and w(1)=1."""
     p = np.asarray(p, dtype=float)
@@ -137,7 +154,8 @@ def _prelec(p, alpha, beta):
         neglog = np.where(p > 0.0, -np.log(np.where(p > 0.0, p, 1.0)), np.inf)
     out = np.where(
         inner,
-        np.exp(-np.asarray(beta, dtype=float) * np.where(inner, neglog, 1.0) ** np.asarray(alpha, dtype=float)),
+        np.exp(-np.asarray(beta, dtype=float)
+               * _pow(np.where(inner, neglog, 1.0), np.asarray(alpha, dtype=float))),
         out,
     )
     out = np.where(p >= 1.0, 1.0, out)

@@ -3,7 +3,8 @@
 Motion primitives are the 8 surrounding cells plus stay-in-place. Candidate
 paths are scored by survival-discounted behavioral mutual information and
 searched with a width-limited beam held in numpy arrays, which plans any
-number of alphas in one pass; beam width None means exhaustive.
+number of (mask, alpha) groups in one pass: a bapp-sig alpha sweep, or
+every sector of a team round. Beam width None means exhaustive.
 """
 
 from __future__ import annotations
@@ -118,9 +119,11 @@ def neighbors(cell: int, dims: GridDims, mask: Optional[frozenset] = None) -> tu
     return tuple(c for c in cand if c == cell or c in mask)
 
 
-def per_cell_gain(belief: BeliefMap, channel: BinaryChannel, alpha: float,
+def per_cell_gain(belief: BeliefMap, channel: BinaryChannel, alpha,
                   form: MiForm = MiForm.POSTERIOR) -> np.ndarray:
     """First-visit information value of each cell at the given behavior alpha.
+
+    A column of alphas gives one row of cells per alpha.
 
     Cells already resolved to 0 or 1 carry no remaining uncertainty and are
     forced to zero gain regardless of the MI form.
@@ -162,15 +165,17 @@ def _mask_cells(start: int, mask: frozenset, n: int) -> np.ndarray:
     return idx
 
 
-# Every sector of a round plans against the same belief, so the gain and
-# survival arrays are computed once per round. BeliefMap hashes by identity
-# and its probs are read-only, and the cache holds each key's belief alive,
-# so a hit is always for the very same probabilities.
+# Sectors planned one at a time (bapp-sig teams, and the misses of a batched
+# round) plan against their round's one belief, so the gain and survival
+# arrays are memoised. BeliefMap hashes by identity and its probs are
+# read-only, and the cache holds each key's belief alive, so a hit is always
+# for the very same probabilities.
 @functools.lru_cache(maxsize=16)
-def _round_gain(belief: BeliefMap, channel: BinaryChannel, alpha: float, form: MiForm) -> np.ndarray:
-    gain = per_cell_gain(belief, channel, alpha, form)
-    gain.setflags(write=False)
-    return gain
+def _round_gains(belief: BeliefMap, channel: BinaryChannel, alphas: tuple, form: MiForm) -> np.ndarray:
+    """per_cell_gain at each of `alphas`, one row each, from one mi_behavioral call."""
+    gains = per_cell_gain(belief, channel, np.array(alphas)[:, None], form)
+    gains.setflags(write=False)
+    return gains
 
 
 @functools.lru_cache(maxsize=16)
@@ -181,49 +186,59 @@ def _round_keep(belief: BeliefMap, channel: BinaryChannel) -> np.ndarray:
 
 
 def plan_paths(belief: BeliefMap, start: int, config: PlanConfig, channel: BinaryChannel,
-               alphas: Sequence[float]) -> list[tuple[float, tuple[int, ...]]]:
-    """Beam search from `start` at every alpha of `alphas`, in one batched pass.
+               groups: Sequence[tuple[Optional[frozenset], float]]) -> list[tuple[float, tuple[int, ...]]]:
+    """Beam search from `start` for every (mask, alpha) group, in one batched pass.
 
-    `config.alpha` is not read. Each alpha has its own beam; survival, the
-    successor table and the mask are shared. At each depth every retained
-    partial path is expanded through all its 9-connected successors, the
-    partial paths of one alpha are ranked by score with ties broken toward
-    the lexicographically smallest cell sequence, and the top beam_width
-    survive. Returns one (score, cells) per alpha, in the order given; the
-    score equals score_path of those cells at that alpha, to the bit.
-    Deterministic for fixed inputs.
+    `config.mask` and `config.alpha` are not read: group g keeps to the
+    cells of groups[g][0] (None: the whole grid; staying put is always
+    allowed) and scores at alpha groups[g][1]. Each group has its own beam;
+    survival and the successor table are shared, and so is the gain row of
+    groups with the same alpha. At each depth every retained partial path is
+    expanded through all its allowed 9-connected successors, the partial
+    paths of one group are ranked by score with ties broken toward the
+    lexicographically smallest cell sequence, and the top beam_width
+    survive. Returns one (score, cells) per group, in the order given: the
+    path the group gets when planned alone, with a score equal to
+    score_path of those cells at its alpha, to the bit. Deterministic for
+    fixed inputs.
     """
     dims = belief.dims
     n = dims.n_cells
     if not dims.contains(start):
         raise ParameterError(f"start {start} outside grid")
-    if len(alphas) == 0:
-        raise ParameterError("no alpha to plan")
+    if len(groups) == 0:
+        raise ParameterError("no group to plan")
     succ = _neighbor_tables(dims)[1]
-    mask = config.mask
-    if mask is not None:
-        allowed = np.zeros(n, dtype=bool)
-        allowed[_mask_cells(start, mask, n)] = True
-        # staying put is exempt from the mask
-        succ = np.where((succ >= 0) & (allowed[succ] | (succ == np.arange(n)[:, None])), succ, -1)
+    allowed = None
+    if any(mask is not None for mask, _ in groups):
+        allowed = np.ones((len(groups), n), dtype=bool)
+        for row, (mask, _) in zip(allowed, groups):
+            if mask is not None:
+                row[:] = False
+                row[_mask_cells(start, mask, n)] = True
+    alphas = tuple(dict.fromkeys(a for _, a in groups))
+    gain = _round_gains(belief, channel, alphas, config.mi_form)[[alphas.index(a) for _, a in groups]]
     keep = _round_keep(belief, channel)
-    gain = np.stack([_round_gain(belief, channel, a, config.mi_form) for a in alphas])
     width = config.beam_width
 
-    # One row per partial path: rows are grouped by alpha, groups ascending,
-    # and kept in lexicographic cell order within a group. The group key is
-    # the smallest unsigned type that holds it, which lets lexsort radix-sort
+    # One row per partial path: rows are grouped, groups ascending, and kept
+    # in lexicographic cell order within a group. The group key is the
+    # smallest unsigned type that holds it, which lets lexsort radix-sort
     # it. The start cell is not marked visited: staying put is a first visit.
-    group = np.arange(len(alphas), dtype=np.min_scalar_type(len(alphas) - 1))
-    score = np.zeros(len(alphas))
-    surv = np.ones(len(alphas))
-    cells = np.empty((len(alphas), 0), dtype=np.intp)
-    visited = np.zeros((len(alphas), n), dtype=bool)
-    last = np.full(len(alphas), start, dtype=np.intp)
+    group = np.arange(len(groups), dtype=np.min_scalar_type(len(groups) - 1))
+    score = np.zeros(len(groups))
+    surv = np.ones(len(groups))
+    cells = np.empty((len(groups), 0), dtype=np.intp)
+    visited = np.zeros((len(groups), n), dtype=bool)
+    last = np.full(len(groups), start, dtype=np.intp)
     for _ in range(config.horizon):
         cand = succ[last]
+        move = cand >= 0
+        if allowed is not None:
+            # staying put is exempt from the mask
+            move &= allowed[group[:, None], cand] | (cand == last[:, None])
         # parent-major, successors ascending: children stay in lexicographic order
-        p, j = np.nonzero(cand >= 0)
+        p, j = np.nonzero(move)
         c = cand[p, j]
         group, prev_score, prev_surv = group[p], score[p], surv[p]
         score = np.where(visited[p, c], prev_score, prev_score + prev_surv * gain[group, c])
@@ -246,8 +261,8 @@ def plan_paths(belief: BeliefMap, start: int, config: PlanConfig, channel: Binar
 
 
 def plan_path(belief: BeliefMap, start: int, config: PlanConfig, channel: BinaryChannel) -> Trajectory:
-    """Best fixed-horizon trajectory from `start` at config.alpha (see plan_paths)."""
-    [(_, cells)] = plan_paths(belief, start, config, channel, (config.alpha,))
+    """Best fixed-horizon trajectory from `start` in config.mask at config.alpha (see plan_paths)."""
+    [(_, cells)] = plan_paths(belief, start, config, channel, ((config.mask, config.alpha),))
     return Trajectory(start=start, cells=cells)
 
 

@@ -4,10 +4,12 @@ A trial runs rounds of deployments: relocate the base (when enabled),
 partition the grid into one sector per robot, let the strategy pick an
 agent class, behavior alpha, and path per sector against the round-start
 belief, execute each path against the hidden ground truth, then fold the
-binary outcomes back into the belief. All randomness flows through seed
-streams keyed by (master seed, trial, purpose, round, sector) so that
-different strategies face identical worlds and identical per-step failure
-draws.
+binary outcomes back into the belief. std-itp and bapp-tid plan all of a
+round's sectors in one batched beam from the round-start fleet; a sector
+whose class or alpha has changed by its turn is planned again alone. All
+randomness flows through seed streams keyed by (master seed, trial,
+purpose, round, sector) so that different strategies face identical
+worlds and identical per-step failure draws.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from .coordination import RelocationPolicy, sector_masks, select_base_site
 from .errors import FleetExhaustedError, ParameterError, ScenarioError
 from .info_measures import BinaryChannel
 from .planner import PlanConfig, Trajectory
-from .strategies import (AgentClass, FleetState, SigPolicy, StrategyKind,
-                         TriggerPolicy, select_deployment)
+from .strategies import (AgentClass, FleetState, SigPolicy, StrategyKind, TriggerPolicy,
+                         deployment_decision, plan_round, select_deployment)
 
 __all__ = [
     "AgentSpec",
@@ -232,13 +234,23 @@ def run_trial(config: MissionConfig, trial: int) -> TrialMetrics:
             base = select_base_site(belief, base, config.relocation, n)
         base_track.append(base)
         round_belief = belief  # planning snapshot: sectors cannot see each other's outcomes
-        for sector, mask in enumerate(sector_masks(base, dims, n)):
-            plan_cfg = replace(config.plan, mask=mask)
-            walk_rng = seed_stream(seed, trial, _TAG_WALK, d, sector)
+        masks = sector_masks(base, dims, n)
+        planned = plan_round(config.strategy, fleet, round_belief, base, config.plan, channels,
+                             masks, trigger=config.trigger)
+        decision, paths = planned if planned is not None else (None, None)
+        for sector, mask in enumerate(masks):
             try:
-                cls, traj, alpha_used = select_deployment(
-                    config.strategy, fleet, round_belief, base, plan_cfg, channels,
-                    sig=config.sig, trigger=config.trigger, rng=walk_rng)
+                if paths is not None and deployment_decision(
+                        config.strategy, fleet, config.trigger) == decision:
+                    (cls, alpha_used), traj = decision, paths[sector]
+                else:
+                    # random and bapp-sig, or a miss: an earlier sector's loss
+                    # changed this one's decision, so it is planned alone
+                    walk_rng = (seed_stream(seed, trial, _TAG_WALK, d, sector)
+                                if config.strategy is StrategyKind.RANDOM else None)
+                    cls, traj, alpha_used = select_deployment(
+                        config.strategy, fleet, round_belief, base, replace(config.plan, mask=mask),
+                        channels, sig=config.sig, trigger=config.trigger, rng=walk_rng)
             except FleetExhaustedError:
                 break  # the next round's stock check ends the trial
             theta, fail_step = execute_deployment(

@@ -9,6 +9,10 @@ Four strategies are dispatched per deployment:
             the highest expected information at its own alpha.
   bapp-tid  two-phase triggered deployment of scarce high-fidelity agents
             when the windowed entropy drop stagnates.
+
+std-itp and bapp-tid decide one (class, alpha) per fleet state, so
+plan_round plans every sector of a team round in one batched beam;
+random and bapp-sig plan each sector at its turn.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ __all__ = [
     "sig_sweep_grid",
     "sig_select_path",
     "tid_should_trigger",
+    "deployment_decision",
+    "plan_round",
     "select_deployment",
 ]
 
@@ -164,7 +170,8 @@ def sig_select_path(fleet: FleetState, policy: SigPolicy, belief: BeliefMap, sta
     """
     alphas = sig_sweep_grid(sig_alpha(fleet, policy), policy)
     best = None
-    for a, (s, cells) in zip(alphas, plan_paths(belief, start, plan, channel, alphas)):
+    found = plan_paths(belief, start, plan, channel, [(plan.mask, a) for a in alphas])
+    for a, (s, cells) in zip(alphas, found):
         if best is None or s > best[0]:
             best = (s, a, cells)
     return Trajectory(start=start, cells=best[2]), best[1]
@@ -201,15 +208,54 @@ def _pick_class(fleet: FleetState, preferred: AgentClass) -> AgentClass:
     raise FleetExhaustedError("no agents left to deploy")
 
 
+# the strategies whose whole decision is one (class, alpha) per fleet state
+_FIXED_ALPHA = (StrategyKind.STD_ITP, StrategyKind.BAPP_TID)
+
+
+def deployment_decision(strategy: StrategyKind, fleet: FleetState,
+                        trigger: Optional[TriggerPolicy] = None) -> tuple[AgentClass, float]:
+    """(agent class, alpha) of a std-itp or bapp-tid deployment from this fleet state."""
+    if strategy is StrategyKind.STD_ITP:
+        return _pick_class(fleet, AgentClass.DISPOSABLE), 1.0
+    if strategy is StrategyKind.BAPP_TID:
+        if trigger is None:
+            raise ParameterError("bapp-tid needs a TriggerPolicy")
+        if tid_should_trigger(fleet, trigger):
+            cls = _pick_class(fleet, AgentClass.HIGH_FIDELITY)
+            return cls, trigger.alpha_hf if cls is AgentClass.HIGH_FIDELITY else trigger.alpha_explore
+        cls = _pick_class(fleet, AgentClass.DISPOSABLE)
+        return cls, trigger.alpha_explore if cls is AgentClass.DISPOSABLE else trigger.alpha_hf
+    raise ParameterError(f"no fixed (class, alpha) decision for {strategy!r}")
+
+
+def plan_round(strategy: StrategyKind, fleet: FleetState, belief: BeliefMap, start: int,
+               plan: PlanConfig, channels: dict, masks: list,
+               trigger: Optional[TriggerPolicy] = None
+               ) -> Optional[tuple[tuple[AgentClass, float], list[Trajectory]]]:
+    """Every sector of a round planned from the round-start fleet, in one plan_paths pass.
+
+    For std-itp and bapp-tid returns the deployment_decision and one
+    trajectory per mask: the path select_deployment plans for that mask
+    under that decision, bit for bit. A sector whose decision has changed by
+    its turn (a stock ran out) must be planned again alone. Returns None for
+    random and bapp-sig, which plan each sector at its turn.
+    """
+    if strategy not in _FIXED_ALPHA:
+        return None
+    decision = deployment_decision(strategy, fleet, trigger)
+    cls, alpha = decision
+    found = plan_paths(belief, start, plan, channels[cls], [(mask, alpha) for mask in masks])
+    return decision, [Trajectory(start=start, cells=cells) for _, cells in found]
+
+
 def select_deployment(strategy: StrategyKind, fleet: FleetState, belief: BeliefMap, start: int,
                       plan: PlanConfig, channels: dict, sig: Optional[SigPolicy] = None,
                       trigger: Optional[TriggerPolicy] = None,
                       rng: Optional[np.random.Generator] = None) -> tuple[AgentClass, Trajectory, float]:
     """Dispatch one deployment decision: (agent class, trajectory, alpha used)."""
-    if strategy is StrategyKind.STD_ITP:
-        cls = _pick_class(fleet, AgentClass.DISPOSABLE)
-        cfg = replace(plan, alpha=1.0)
-        return cls, plan_path(belief, start, cfg, channels[cls]), 1.0
+    if strategy in _FIXED_ALPHA:
+        cls, alpha = deployment_decision(strategy, fleet, trigger)
+        return cls, plan_path(belief, start, replace(plan, alpha=alpha), channels[cls]), alpha
     if strategy is StrategyKind.RANDOM:
         cls = _pick_class(fleet, AgentClass.DISPOSABLE)
         if rng is None:
@@ -221,15 +267,4 @@ def select_deployment(strategy: StrategyKind, fleet: FleetState, belief: BeliefM
         cls = _pick_class(fleet, AgentClass.DISPOSABLE)
         traj, a = sig_select_path(fleet, sig, belief, start, plan, channels[cls])
         return cls, traj, a
-    if strategy is StrategyKind.BAPP_TID:
-        if trigger is None:
-            raise ParameterError("bapp-tid needs a TriggerPolicy")
-        if tid_should_trigger(fleet, trigger):
-            cls = _pick_class(fleet, AgentClass.HIGH_FIDELITY)
-            alpha = trigger.alpha_hf if cls is AgentClass.HIGH_FIDELITY else trigger.alpha_explore
-        else:
-            cls = _pick_class(fleet, AgentClass.DISPOSABLE)
-            alpha = trigger.alpha_explore if cls is AgentClass.DISPOSABLE else trigger.alpha_hf
-        cfg = replace(plan, alpha=alpha)
-        return cls, plan_path(belief, start, cfg, channels[cls]), alpha
     raise ParameterError(f"unknown strategy {strategy!r}")

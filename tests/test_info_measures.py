@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bapp.errors import DistributionError, ParameterError
 from bapp.info_measures import (AlphaSearchResult, BehaviorParams, BinaryChannel, MiForm,
@@ -213,6 +215,22 @@ class TestMiBehavioral:
     def test_invalid_alpha(self):
         with pytest.raises(ParameterError):
             mi_behavioral(0.3, BinaryChannel(0.9, 0.1), -0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(probs=st.lists(st.sampled_from((0.0, 0.05, 0.25, 0.5, 0.75, 0.9, 1.0)) | st.floats(0.0, 1.0),
+                      min_size=1, max_size=40),
+       alphas=st.lists(st.sampled_from((0.3, 0.5, 0.7, 1.0, 1.2, 2.0)), min_size=1, max_size=6),
+       form=st.sampled_from(MiForm),
+       channel=st.sampled_from((BinaryChannel(0.9, 0.1), BinaryChannel(0.7, 0.1), BinaryChannel(0.5, 0.0))))
+def test_alpha_column_rows_equal_scalar_alpha_calls(probs, alphas, form, channel):
+    # numpy squares or roots for a 0-d exponent of 2.0 or 0.5 and calls power
+    # for an array of exponents; each row must still have the scalar call's bits
+    p = np.array(probs)
+    rows = mi_behavioral(p, channel, np.array(alphas)[:, None], form)
+    assert rows.shape == (len(alphas), p.size)
+    for row, a in zip(rows, alphas):
+        assert np.array_equal(row, mi_behavioral(p, channel, a, form))
 
 
 class TestDeltaMi:

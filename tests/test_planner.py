@@ -204,7 +204,7 @@ class TestPlanPath:
         with pytest.raises(ParameterError):
             plan_path(b, 4, cfg, CH)
         with pytest.raises(ParameterError):
-            plan_paths(b, 4, cfg, CH, (0.5, 1.0))
+            plan_paths(b, 4, cfg, CH, ((cfg.mask, 0.5), (None, 1.0)))
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ParameterError):
@@ -236,13 +236,47 @@ def _sweep_plans(draw):
 @given(case=_sweep_plans())
 def test_batched_beam_matches_reference_beam(case):
     belief, start, cfg, alphas, channel = case
-    got = plan_paths(belief, start, cfg, channel, alphas)
+    got = plan_paths(belief, start, cfg, channel, [(cfg.mask, a) for a in alphas])
     assert len(got) == len(alphas)
     for a, (score, cells) in zip(alphas, got):
         ref = reference_plan_path(belief, start, replace(cfg, alpha=a), channel)
         assert cells == ref.cells
         assert score == score_path(belief, ref, channel, a, cfg.mi_form)
     assert plan_path(belief, start, replace(cfg, alpha=alphas[0]), channel).cells == got[0][1]
+
+
+@st.composite
+def _group_plans(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    dims = GridDims(rows, cols)
+    # quantised priors, so that scores tie
+    probs = draw(st.lists(st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)),
+                          min_size=dims.n_cells, max_size=dims.n_cells))
+    start = draw(st.integers(0, dims.n_cells - 1))
+    masks = st.none() | st.just(frozenset({start})) | st.sets(
+        st.integers(0, dims.n_cells - 1)).map(lambda m: frozenset(m | {start}))
+    # a small alpha pool, so that groups share gain rows
+    groups = draw(st.lists(st.tuples(masks, st.sampled_from((0.5, 1.0, 1.2, 2.0))),
+                           min_size=1, max_size=6))
+    width = draw(st.sampled_from((1, 8, 32, None)))
+    horizon = draw(st.integers(1, 4 if width is None else 10))
+    cfg = PlanConfig(horizon=horizon, beam_width=width, mi_form=draw(st.sampled_from(MiForm)))
+    channel = draw(st.sampled_from((CH, BinaryChannel(0.7, 0.1), BinaryChannel(0.5, 0.0))))
+    return BeliefMap(dims, np.array(probs)), start, cfg, groups, channel
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_group_plans())
+def test_grouped_beam_matches_single_group_plans(case):
+    belief, start, cfg, groups, channel = case
+    got = plan_paths(belief, start, cfg, channel, groups)
+    assert len(got) == len(groups)
+    for (mask, a), (score, cells) in zip(groups, got):
+        [(_, alone)] = plan_paths(belief, start, cfg, channel, [(mask, a)])
+        assert cells == alone
+        path = Trajectory(start=start, cells=cells)
+        path.validate(belief.dims, mask)
+        assert score == score_path(belief, path, channel, a, cfg.mi_form)
 
 
 class TestRoundGainMemo:
@@ -252,8 +286,9 @@ class TestRoundGainMemo:
 
     def test_cached_arrays_are_read_only(self):
         b = self.belief(31)
-        plan_paths(b, 12, PlanConfig(horizon=3, beam_width=8), CH, (0.8, 1.0))
-        for arr in (planner._round_gain(b, CH, 0.8, MiForm.POSTERIOR), planner._round_keep(b, CH)):
+        plan_paths(b, 12, PlanConfig(horizon=3, beam_width=8), CH, ((None, 0.8), (None, 1.0)))
+        for arr in (planner._round_gains(b, CH, (0.8, 1.0), MiForm.POSTERIOR),
+                    planner._round_keep(b, CH)):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
@@ -261,25 +296,25 @@ class TestRoundGainMemo:
     def test_updated_belief_is_not_a_stale_hit(self):
         b1 = self.belief(37)
         cfg = PlanConfig(horizon=3, beam_width=8, mi_form=MiForm.CHANNEL)
-        plan_paths(b1, 12, cfg, CH, (0.8, 1.0))
+        plan_paths(b1, 12, cfg, CH, ((None, 0.8), (None, 1.0)))
         b2 = update_on_success(b1, (6, 7, 12), CH)
-        plan_paths(b2, 12, cfg, CH, (0.8, 1.0))
-        for a in (0.8, 1.0):
+        plan_paths(b2, 12, cfg, CH, ((None, 0.8), (None, 1.0)))
+        for row, a in enumerate((0.8, 1.0)):
             fresh = per_cell_gain(b2, CH, a, cfg.mi_form)
-            assert np.array_equal(planner._round_gain(b2, CH, a, cfg.mi_form), fresh)
-            assert not np.array_equal(planner._round_gain(b1, CH, a, cfg.mi_form), fresh)
+            assert np.array_equal(planner._round_gains(b2, CH, (0.8, 1.0), cfg.mi_form)[row], fresh)
+            assert not np.array_equal(planner._round_gains(b1, CH, (0.8, 1.0), cfg.mi_form)[row], fresh)
         assert np.array_equal(planner._round_keep(b2, CH), 1.0 - cell_failure_prob(b2.probs, CH))
 
     def test_warm_cache_plans_equal_cold(self):
         b = self.belief(41)
         cfg = PlanConfig(horizon=5, beam_width=16, mask=frozenset(range(5, 20)))
-        alphas = (0.6, 0.8, 1.0, 1.2)
-        planner._round_gain.cache_clear()
+        groups = [(cfg.mask, a) for a in (0.6, 0.8, 1.0, 1.2)]
+        planner._round_gains.cache_clear()
         planner._round_keep.cache_clear()
-        cold = plan_paths(b, 12, cfg, CH, alphas)
-        hits = planner._round_gain.cache_info().hits
-        warm = plan_paths(b, 12, cfg, CH, alphas)
-        assert planner._round_gain.cache_info().hits == hits + len(alphas)
+        cold = plan_paths(b, 12, cfg, CH, groups)
+        hits = planner._round_gains.cache_info().hits
+        warm = plan_paths(b, 12, cfg, CH, groups)
+        assert planner._round_gains.cache_info().hits == hits + 1
         assert warm == cold
 
 

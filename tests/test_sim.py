@@ -1,10 +1,11 @@
 import inspect
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bapp import planner, strategies
+from bapp import planner, sim, strategies
 from bapp.belief import GridDims
 from bapp.errors import ParameterError, ScenarioError
 from bapp.experiment import (fmt9, run_experiment, theory_sweep, write_deployments_csv,
@@ -199,6 +200,74 @@ class TestRunTrial:
         tm = run_trial(cfg, 0)
         assert len(tm.base_track) == tm.rounds_executed
         assert tm.base_track[0] == cfg.start_cell
+
+
+def _batched_and_per_sector(monkeypatch, config, trial):
+    """run_trial as it is, then with no round plan, so that every sector is
+    planned at its turn through select_deployment: the per-sector loop the
+    batched round replaced. Also returns how many sectors the batched run
+    planned alone."""
+    alone = []
+    select = sim.select_deployment
+
+    def spy(*args, **kwargs):
+        alone.append(args[0])
+        return select(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "select_deployment", spy)
+    got = sim.run_trial(config, trial)
+    misses = len(alone)
+    monkeypatch.setattr(sim, "plan_round", lambda *args, **kwargs: None)
+    want = sim.run_trial(config, trial)
+    return got, want, misses
+
+
+def _assert_same_trial(got, want):
+    assert got.records == want.records
+    assert got.base_track == want.base_track
+    assert got.entropy_series == want.entropy_series
+    assert got.loss_series == want.loss_series
+
+
+class TestBatchedRound:
+    def test_tid_high_fidelity_runs_out_mid_round(self, monkeypatch):
+        # the trigger always fires and high-fidelity robots are nearly always
+        # lost, so their stock runs out inside a round: later sectors switch to
+        # disposables at alpha_explore and must be planned again alone
+        cfg = small_config(team_size=4, deployment_budget=5, strategy=StrategyKind.BAPP_TID,
+                           high_fidelity=AgentSpec(AgentClass.HIGH_FIDELITY, 0.95, 3),
+                           trigger=TriggerPolicy(theta_early=1.0, phase_switch=10))
+        for trial in range(3):
+            got, want, misses = _batched_and_per_sector(monkeypatch, cfg, trial)
+            _assert_same_trial(got, want)
+            assert misses > 0
+            classes = [r.agent_class for r in got.records if r.round_index == 1]
+            assert classes[0] is AgentClass.HIGH_FIDELITY
+            assert AgentClass.DISPOSABLE in classes
+
+    def test_std_disposables_run_out_mid_round(self, monkeypatch):
+        cfg = small_config(team_size=3, deployment_budget=6,
+                           disposable=AgentSpec(AgentClass.DISPOSABLE, 0.9, 4),
+                           high_fidelity=AgentSpec(AgentClass.HIGH_FIDELITY, 0.01, 4))
+        got, want, misses = _batched_and_per_sector(monkeypatch, cfg, 0)
+        _assert_same_trial(got, want)
+        assert misses > 0
+        assert {r.agent_class for r in got.records} == set(AgentClass)
+
+    @pytest.mark.parametrize("strategy", [StrategyKind.STD_ITP, StrategyKind.BAPP_TID])
+    def test_relocating_team_matches_per_sector_loop(self, monkeypatch, strategy):
+        config, _ = load_scenario("energy-15x7")
+        config = replace(config, strategy=strategy, master_seed=7, deployment_budget=12)
+        got, want, _ = _batched_and_per_sector(monkeypatch, config, 0)
+        _assert_same_trial(got, want)
+        assert len(set(got.base_track)) > 1
+
+    def test_sig_team_plans_each_sector_at_its_turn(self, monkeypatch):
+        cfg = small_config(team_size=3, deployment_budget=4, strategy=StrategyKind.BAPP_SIG,
+                           disposable=AgentSpec(AgentClass.DISPOSABLE, 0.3, 12))
+        got, want, alone = _batched_and_per_sector(monkeypatch, cfg, 1)
+        _assert_same_trial(got, want)
+        assert alone == len(got.records)
 
 
 class TestInformationHiding:
