@@ -8,8 +8,8 @@ radial partitioning with mobile-base relocation, and a deterministic Monte
 Carlo mission simulator with a CLI.
 """
 
-from .belief import (BeliefMap, GridDims, GroundTruthMap, belief_to_csv, cell_failure_prob,
-                     global_entropy, init_uniform, update_on_failure, update_on_success)
+from .belief import (BeliefMap, GridDims, GroundTruthMap, cell_failure_prob, global_entropy,
+                     init_uniform, update_on_failure, update_on_success)
 from .coordination import (Partition, RelocationPolicy, radial_partition, reachable_cells,
                            regional_entropy, sector_masks, select_base_site)
 from .errors import (DistributionError, FleetExhaustedError, InconsistentObservationError,

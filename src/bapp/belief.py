@@ -29,7 +29,6 @@ __all__ = [
     "update_on_success",
     "update_on_failure",
     "global_entropy",
-    "belief_to_csv",
 ]
 
 
@@ -67,7 +66,7 @@ class BeliefMap:
         arr = np.asarray(self.probs, dtype=float)
         if arr.shape != (self.dims.n_cells,):
             raise ParameterError(f"belief length {arr.shape} does not match grid {self.dims}")
-        if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
+        if not ((arr >= 0.0) & (arr <= 1.0)).all():  # NaN fails it too
             raise ParameterError("belief probabilities must lie in [0, 1]")
         arr = arr.copy()
         arr.flags.writeable = False
@@ -181,11 +180,3 @@ def global_entropy(belief: BeliefMap) -> float:
     """Mean per-cell binary entropy in bits; 1.0 for a uniform map."""
     return float(np.mean(binary_entropy(belief.probs, base=2.0)))
 
-
-def belief_to_csv(belief: BeliefMap) -> str:
-    """Row-major CSV snapshot, one grid row per line, 9 significant digits."""
-    rows = []
-    for r in range(belief.dims.rows):
-        row = belief.probs[r * belief.dims.cols:(r + 1) * belief.dims.cols]
-        rows.append(",".join(format(v, ".9g") for v in row))
-    return "\n".join(rows) + "\n"

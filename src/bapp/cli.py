@@ -16,11 +16,12 @@ from .experiment import (run_experiment, theory_sweep, write_bases_csv,
                          write_deployments_csv, write_paths_csv,
                          write_summary_json, write_theory_csvs)
 from .info_measures import BinaryChannel
-from .oracles import exhaustive_plan, martingale_gap, posterior_by_enumeration
+from .oracles import exhaustive_plan, joint_posterior, martingale_gap, posterior_by_enumeration
 from .planner import PlanConfig, plan_path
-from .belief import update_on_failure, update_on_success, BeliefMap
+from .belief import update_on_failure, update_on_success, BeliefMap, init_uniform
 from .scenario import builtin_scenarios, load_scenario
-from .strategies import StrategyKind
+from .sim import MissionConfig, run_trial
+from .strategies import AgentClass, StrategyKind
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -125,6 +126,22 @@ def _cmd_oracle_check(args) -> int:
     else:
         print(f"FAIL {line}")
         ok = False
+
+    # the belief is exact per deployment, not across them: report how far it
+    # drifts from the joint posterior over a tiny mission (not a pass/fail)
+    mission = MissionConfig(dims=dims, team_size=1, horizon=4, deployment_budget=12,
+                            strategy=StrategyKind.STD_ITP, master_seed=args.seed)
+    channel = mission.channels()[AgentClass.DISPOSABLE]
+    belief = init_uniform(dims)
+    history = []
+    gap = 0.0
+    for rec in run_trial(mission, 0).records:
+        update = update_on_failure if rec.theta else update_on_success
+        belief = update(belief, rec.trajectory.cells, channel)
+        history.append((rec.trajectory.cells, rec.theta))
+        gap = max(gap, float(np.max(np.abs(belief.probs - joint_posterior(dims, history, channel)))))
+    print(f"INFO factored belief vs joint posterior over a {len(history)}-deployment "
+          f"3x3 mission: max |diff| = {gap:.3e}")
     return 0 if ok else 1
 
 

@@ -113,9 +113,10 @@ class AlphaSearchResult(NamedTuple):
 
 def _as_prob(p, name="p"):
     arr = np.asarray(p, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError(f"{name} must be finite")
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    # one pass: NaN and +-inf fail it too; the message is picked on failure only
+    if not ((arr >= 0.0) & (arr <= 1.0)).all():
+        if not np.all(np.isfinite(arr)):
+            raise ParameterError(f"{name} must be finite")
         raise ParameterError(f"{name} must be in [0, 1]")
     return arr
 

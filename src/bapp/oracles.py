@@ -2,6 +2,9 @@
 
 These recompute the belief updates and the trajectory search by exhaustive
 enumeration, sharing no logic with the closed-form code paths they verify.
+joint_posterior conditions the joint hazard distribution of a whole grid
+on a sequence of deployments; the factored belief keeps only marginals
+after each one, so the two part after the first loss (see its docstring).
 """
 
 from __future__ import annotations
@@ -11,7 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .belief import BeliefMap, cell_failure_prob
+from .belief import BeliefMap, GridDims, cell_failure_prob
+from .errors import ParameterError
 from .info_measures import BinaryChannel, MiForm
 from .planner import Trajectory, neighbors, per_cell_gain
 
@@ -19,6 +23,7 @@ __all__ = [
     "posterior_by_enumeration",
     "outcome_probability",
     "martingale_gap",
+    "joint_posterior",
     "exhaustive_plan",
 ]
 
@@ -75,6 +80,44 @@ def martingale_gap(priors: Sequence[float], channel: BinaryChannel) -> float:
     if p1 > 0.0:
         post += p1 * posterior_by_enumeration(priors, channel, 1)
     return float(np.max(np.abs(post - np.asarray(priors, dtype=float))))
+
+
+MAX_JOINT_CELLS = 16
+
+
+def joint_posterior(dims: GridDims, history: Sequence[tuple[Sequence[int], int]],
+                    channel: BinaryChannel, prior=0.5) -> np.ndarray:
+    """Exact P(X_i = 1 | every outcome so far) for each cell, by enumeration.
+
+    `history` is a sequence of (path cells, theta) deployments, all seen
+    through `channel`; `prior` gives each cell an independent hazard
+    probability (a scalar, or one per cell). Every one of the 2^n hazard
+    states of the grid (n <= 16) carries its log weight: the log prior
+    plus, per deployment, the log probability of its outcome in that
+    state, where a robot returns with probability prod (1 - tpr) over the
+    path's hazardous distinct cells times prod (1 - fpr) over its safe
+    ones. Unlike the factored belief, this keeps the coupling a loss puts
+    between the cells of its path. Two cells at prior 0.5, channel
+    (0.7, 0.1): after path (0, 1) is lost and path (0,) returns, cell 1
+    reads 0.704545 here and 0.640625 in the factored belief.
+    """
+    n = dims.n_cells
+    if n > MAX_JOINT_CELLS:
+        raise ParameterError(f"joint enumeration needs at most {MAX_JOINT_CELLS} cells, got {n}")
+    states = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1 == 1  # (2^n, n)
+    p = np.broadcast_to(np.asarray(prior, dtype=float), (n,))
+    with np.errstate(divide="ignore"):  # a prior of 0 or 1 rules states out: log 0 = -inf
+        logw = np.where(states, np.log(p), np.log1p(-p)).sum(axis=1)
+        for path, theta in history:
+            cells = sorted(set(int(c) for c in path))
+            if not cells or cells[0] < 0 or cells[-1] >= n:
+                raise ParameterError(f"path {tuple(path)} is empty or leaves the grid")
+            survive = np.where(states[:, cells], 1.0 - channel.tpr, 1.0 - channel.fpr).prod(axis=1)
+            logw = logw + np.log(survive if theta == 0 else 1.0 - survive)
+    if not np.isfinite(logw).any():
+        raise ZeroDivisionError("history impossible under this prior and channel")
+    w = np.exp(logw - logw.max())
+    return (w @ states) / w.sum()
 
 
 def _path_score(cells: Sequence[int], gain: np.ndarray, keep: np.ndarray) -> float:

@@ -266,17 +266,44 @@ def plan_path(belief: BeliefMap, start: int, config: PlanConfig, channel: Binary
     return Trajectory(start=start, cells=cells)
 
 
+# A run walks a few masks at a time (one per sector of the current base), so
+# a small memo holds them all.
+@functools.lru_cache(maxsize=32)
+def _walk_table(dims: GridDims, mask: Optional[frozenset]) -> tuple:
+    """Each cell's walk options, neighbors(cell, dims, mask), indexed by cell;
+    None for a cell outside the mask. Checks that the mask lies in the grid."""
+    table, succ = _neighbor_tables(dims)
+    if mask is None:
+        return table
+    n = dims.n_cells
+    idx = np.fromiter(mask, dtype=np.intp, count=len(mask))
+    if idx.min() < 0 or idx.max() >= n:
+        raise ParameterError(f"plan mask cells must lie in [0, {n})")
+    inside = np.zeros(n + 1, dtype=bool)  # the extra entry is what the -1 padding indexes
+    inside[idx] = True
+    rows = succ[idx]
+    # a walk only stands on mask cells, so staying put is always in its row
+    options = [None] * n
+    for cell, row, ok in zip(idx.tolist(), rows.tolist(), inside[rows].tolist()):
+        options[cell] = tuple(c for c, k in zip(row, ok) if k)
+    return tuple(options)
+
+
 def random_walk(start: int, horizon: int, dims: GridDims, mask: Optional[frozenset],
                 rng: np.random.Generator) -> Trajectory:
-    """Uniform 9-connected walk of fixed length; reproducible per rng state."""
+    """Uniform 9-connected walk of fixed length; reproducible per rng state.
+
+    Each step draws one of the current cell's neighbors(cell, dims, mask).
+    """
     if not dims.contains(start):
         raise ParameterError(f"start {start} outside grid")
-    if mask is not None:
-        _mask_cells(start, mask, dims.n_cells)
+    if mask is not None and start not in mask:
+        raise ParameterError(f"start {start} outside the plan mask")
+    table = _walk_table(dims, mask)
     cells = []
     cur = start
     for _ in range(horizon):
-        options = neighbors(cur, dims, mask)
+        options = table[cur]
         cur = options[int(rng.integers(len(options)))]
         cells.append(cur)
     return Trajectory(start=start, cells=tuple(cells))

@@ -1,15 +1,16 @@
 """World generation, deployment execution, and the closed mission loop.
 
 A trial runs rounds of deployments: relocate the base (when enabled),
-partition the grid into one sector per robot, let the strategy pick an
-agent class, behavior alpha, and path per sector against the round-start
-belief, execute each path against the hidden ground truth, then fold the
-binary outcomes back into the belief. std-itp and bapp-tid plan all of a
-round's sectors in one batched beam from the round-start fleet; a sector
-whose class or alpha has changed by its turn is planned again alone. All
-randomness flows through seed streams keyed by (master seed, trial,
-purpose, round, sector) so that different strategies face identical
-worlds and identical per-step failure draws.
+partition the grid into one sector per robot (anew only when the base has
+moved), let the strategy pick an agent class, behavior alpha, and path
+per sector against the round-start belief, execute each path against the
+hidden ground truth, then fold the binary outcomes back into the belief.
+std-itp and bapp-tid plan all of a round's sectors in one batched beam
+from the round-start fleet; a sector whose class or alpha has changed by
+its turn is planned again alone. All randomness flows through seed
+streams keyed by (master seed, trial, purpose, round, sector) so that
+different strategies face identical worlds and identical per-step
+failure draws.
 """
 
 from __future__ import annotations
@@ -47,7 +48,12 @@ _TAG_WALK = 3
 
 def seed_stream(master_seed: int, *key: int) -> np.random.Generator:
     """Independent generator for a (master seed, key...) tuple."""
-    return np.random.default_rng(np.random.SeedSequence([int(master_seed), *map(int, key)]))
+    words = [int(master_seed), *map(int, key)]
+    if 0 <= min(words) and max(words) < 2 ** 32:
+        # one uint32 word each: the entropy words of the list, without
+        # SeedSequence's per-int conversion
+        words = np.array(words, dtype=np.uint32)
+    return np.random.default_rng(np.random.SeedSequence(words))
 
 
 @dataclass(frozen=True)
@@ -211,13 +217,14 @@ def run_trial(config: MissionConfig, trial: int) -> TrialMetrics:
     truth = generate_world(dims, config.hazard_density, config.lethality,
                            seed_stream(seed, trial, _TAG_WORLD))
     belief = init_uniform(dims)
+    h = global_entropy(belief)  # always the entropy of `belief`
     base = config.start_cell
     n = config.team_size
     fleet = FleetState(
         r_total=config.disposable.stock + config.high_fidelity.stock,
         disposable_remaining=config.disposable.stock,
         high_fidelity_remaining=config.high_fidelity.stock,
-        entropy_history=[global_entropy(belief)],
+        entropy_history=[h],
     )
     channels = config.channels()
     specs = {AgentClass.DISPOSABLE: config.disposable, AgentClass.HIGH_FIDELITY: config.high_fidelity}
@@ -226,6 +233,7 @@ def run_trial(config: MissionConfig, trial: int) -> TrialMetrics:
     loss_series = [0]
     base_track = []
     d50 = None
+    masks_base = None  # the base that `masks` and `sector_plans` were built for
 
     for d in range(1, config.deployment_budget + 1):
         if fleet.disposable_remaining + fleet.high_fidelity_remaining <= 0:
@@ -234,7 +242,10 @@ def run_trial(config: MissionConfig, trial: int) -> TrialMetrics:
             base = select_base_site(belief, base, config.relocation, n)
         base_track.append(base)
         round_belief = belief  # planning snapshot: sectors cannot see each other's outcomes
-        masks = sector_masks(base, dims, n)
+        if base != masks_base:
+            masks_base = base
+            masks = sector_masks(base, dims, n)
+            sector_plans = [None] * n  # each sector's PlanConfig, built when first planned alone
         planned = plan_round(config.strategy, fleet, round_belief, base, config.plan, channels,
                              masks, trigger=config.trigger)
         decision, paths = planned if planned is not None else (None, None)
@@ -248,8 +259,10 @@ def run_trial(config: MissionConfig, trial: int) -> TrialMetrics:
                     # changed this one's decision, so it is planned alone
                     walk_rng = (seed_stream(seed, trial, _TAG_WALK, d, sector)
                                 if config.strategy is StrategyKind.RANDOM else None)
+                    if sector_plans[sector] is None:
+                        sector_plans[sector] = replace(config.plan, mask=mask)
                     cls, traj, alpha_used = select_deployment(
-                        config.strategy, fleet, round_belief, base, replace(config.plan, mask=mask),
+                        config.strategy, fleet, round_belief, base, sector_plans[sector],
                         channels, sig=config.sig, trigger=config.trigger, rng=walk_rng)
             except FleetExhaustedError:
                 break  # the next round's stock check ends the trial
@@ -264,12 +277,11 @@ def run_trial(config: MissionConfig, trial: int) -> TrialMetrics:
                 belief = update_on_failure(belief, traj.cells, channels[cls])
             else:
                 belief = update_on_success(belief, traj.cells, channels[cls])
+            h = global_entropy(belief)
             records.append(DeploymentRecord(
                 trial=trial, round_index=d, sector=sector, agent_class=cls,
                 alpha_used=alpha_used, trajectory=traj, theta=theta,
-                failure_step=fail_step, entropy_bits=global_entropy(belief),
-                cum_losses=fleet.r_lost))
-        h = global_entropy(belief)
+                failure_step=fail_step, entropy_bits=h, cum_losses=fleet.r_lost))
         fleet.deployment_index = d
         fleet.entropy_history.append(h)
         loss_series.append(fleet.r_lost)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from bapp.belief import (BeliefMap, GridDims, belief_to_csv, cell_failure_prob, global_entropy,
-                         init_uniform, update_on_failure, update_on_success)
+from bapp.belief import (BeliefMap, GridDims, cell_failure_prob, global_entropy, init_uniform,
+                         update_on_failure, update_on_success)
 from bapp.errors import InconsistentObservationError, ParameterError
 from bapp.info_measures import BinaryChannel
-from bapp.oracles import martingale_gap, outcome_probability, posterior_by_enumeration
+from bapp.oracles import (joint_posterior, martingale_gap, outcome_probability,
+                          posterior_by_enumeration)
 
 CH = BinaryChannel(0.7, 0.1)
 
@@ -183,9 +184,43 @@ class TestGlobalEntropy:
         assert h1 == pytest.approx(h2, abs=1e-12)
 
 
-class TestCsvSnapshot:
-    def test_row_major_layout(self):
+
+class TestJointPosterior:
+    @pytest.mark.parametrize("channel", [CH, BinaryChannel(0.9, 0.1), BinaryChannel(1.0, 0.0)])
+    def test_one_update_equals_closed_form(self, channel):
+        rng = np.random.default_rng(21)
         dims = GridDims(2, 3)
-        b = BeliefMap(dims, np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6]))
-        text = belief_to_csv(b)
-        assert text == "0.1,0.2,0.3\n0.4,0.5,0.6\n"
+        for _ in range(20):
+            prior = rng.choice([0.0, 0.1, 0.5, 0.9, 1.0], size=6) if channel.tpr == 1.0 \
+                else rng.uniform(0.02, 0.98, size=6)
+            path = tuple(rng.integers(0, 6, size=int(rng.integers(1, 6))).tolist())
+            belief = BeliefMap(dims, prior)
+            for theta, update in ((0, update_on_success), (1, update_on_failure)):
+                try:
+                    want = update(belief, path, channel).probs
+                except InconsistentObservationError:
+                    with pytest.raises(ZeroDivisionError):
+                        joint_posterior(dims, [(path, theta)], channel, prior)
+                    continue
+                got = joint_posterior(dims, [(path, theta)], channel, prior)
+                assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_loss_then_return_parts_from_the_factored_belief(self):
+        # A documented property of the model, not a defect to fix here: the
+        # factored belief keeps only marginals after the loss of path (0, 1),
+        # so the return of path (0,) says nothing to it about cell 1, while
+        # under the joint it shifts the blame for the loss onto cell 1.
+        dims = GridDims(1, 2)
+        belief = update_on_success(update_on_failure(init_uniform(dims), (0, 1), CH), (0,), CH)
+        joint = joint_posterior(dims, [((0, 1), 1), ((0,), 0)], CH)
+        assert belief.probs[1] == pytest.approx(0.640625, abs=1e-12)
+        assert joint[1] == pytest.approx(31 / 44, abs=1e-12)  # 0.704545...
+        assert joint_posterior(dims, [((0, 1), 1)], CH)[1] == pytest.approx(0.640625, abs=1e-12)
+
+    def test_limits_and_impossible_histories(self):
+        with pytest.raises(ParameterError, match="at most 16 cells"):
+            joint_posterior(GridDims(1, 17), [], CH)
+        with pytest.raises(ParameterError, match="leaves the grid"):
+            joint_posterior(GridDims(2, 2), [((0, 4), 0)], CH)
+        with pytest.raises(ZeroDivisionError):
+            joint_posterior(GridDims(1, 2), [((0,), 1)], BinaryChannel(1.0, 0.0), prior=0.0)

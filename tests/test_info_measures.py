@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bapp.belief import BeliefMap, GridDims
 from bapp.errors import DistributionError, ParameterError
 from bapp.info_measures import (AlphaSearchResult, BehaviorParams, BinaryChannel, MiForm,
                                 behavioral_entropy, binary_behavioral_entropy, binary_entropy,
@@ -298,3 +299,23 @@ class TestFindInformativeAlpha:
             find_informative_alpha(0.5, BinaryChannel(0.1, 0.9), [1.0])
         with pytest.raises(ParameterError):
             find_informative_alpha(0.0, ch, [1.0])
+
+
+_BAD_PROBS = [(math.nan, "must be finite"), (math.inf, "must be finite"), (-math.inf, "must be finite"),
+              (-1e-300, "must be in [0, 1]"), (1.0000000000000002, "must be in [0, 1]")]
+
+
+@pytest.mark.parametrize("shape", ["scalar", "array"])
+@pytest.mark.parametrize("bad, problem", _BAD_PROBS)
+def test_bad_probabilities_rejected_with_their_message(bad, problem, shape):
+    value = bad if shape == "scalar" else np.array([0.5, 0.0, bad, 1.0])
+    with pytest.raises(ParameterError) as exc:
+        binary_entropy(value)
+    assert str(exc.value) == f"p {problem}"
+    with pytest.raises(ParameterError) as exc:
+        mi_behavioral(value, BinaryChannel(0.7, 0.1), 0.8)
+    assert str(exc.value) == f"prior {problem}"
+    probs = np.array([0.5, 0.0, bad, 1.0])
+    with pytest.raises(ParameterError) as exc:
+        BeliefMap(GridDims(2, 2), probs)
+    assert str(exc.value) == "belief probabilities must lie in [0, 1]"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bapp import planner
 from bapp.belief import BeliefMap, GridDims, cell_failure_prob, init_uniform, update_on_success
+from bapp.coordination import sector_masks
 from bapp.errors import ParameterError
 from bapp.info_measures import BinaryChannel, MiForm, mi_bgs
 from bapp.oracles import exhaustive_plan
@@ -60,6 +61,24 @@ def reference_plan_path(belief: BeliefMap, start: int, config: PlanConfig,
         beam = nxt if width is None else nxt[:width]
     best = beam[0]
     return Trajectory(start=start, cells=best[1])
+
+
+def reference_random_walk(start: int, horizon: int, dims: GridDims, mask, rng) -> Trajectory:
+    """The neighbors()-filter walk that random_walk's per-mask table replaced, kept as its reference."""
+    if not dims.contains(start):
+        raise ParameterError(f"start {start} outside grid")
+    if mask is not None:
+        if start not in mask:
+            raise ParameterError(f"start {start} outside the plan mask")
+        if min(mask) < 0 or max(mask) >= dims.n_cells:
+            raise ParameterError(f"plan mask cells must lie in [0, {dims.n_cells})")
+    cells = []
+    cur = start
+    for _ in range(horizon):
+        options = neighbors(cur, dims, mask)
+        cur = options[int(rng.integers(len(options)))]
+        cells.append(cur)
+    return Trajectory(start=start, cells=tuple(cells))
 
 
 class TestNeighbors:
@@ -348,3 +367,38 @@ class TestRandomWalk:
         for start, mask in ((0, frozenset({8})), (4, frozenset({-1, 99}))):
             with pytest.raises(ParameterError, match=f"start {start} outside the plan mask"):
                 random_walk(start, 5, D3, mask, np.random.default_rng(4))
+
+    def test_start_checked_on_every_call(self):
+        # the mask's table is memoised after the first walk; the start is not
+        mask = frozenset({3, 4, 5})
+        random_walk(4, 5, D3, mask, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        with pytest.raises(ParameterError, match="start 0 outside the plan mask"):
+            random_walk(0, 5, D3, mask, rng)
+        assert rng.bit_generator.state == state
+
+
+@st.composite
+def _walks(draw):
+    """A grid from 1x1 to 20x20, a corner, edge or centre base, and the
+    base's sector mask for 2, 3 or 15 robots, or no mask."""
+    dims = GridDims(draw(st.integers(1, 20)), draw(st.integers(1, 20)))
+    r_last, c_last = dims.rows - 1, dims.cols - 1
+    base = dims.to_cell(*draw(st.sampled_from([
+        (0, 0), (0, c_last), (r_last, 0), (r_last, c_last),  # corners
+        (0, c_last // 2), (r_last // 2, 0), (r_last, c_last // 2), (r_last // 2, c_last),  # edges
+        (r_last // 2, c_last // 2)])))  # centre
+    n = draw(st.sampled_from([1, 2, 3, 15]))
+    mask = sector_masks(base, dims, n)[draw(st.integers(0, n - 1))]
+    return dims, base, mask, draw(st.integers(1, 30)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_walks())
+def test_table_walk_matches_reference_walk(case):
+    dims, start, mask, horizon, seed = case
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    walk = random_walk(start, horizon, dims, mask, rng)
+    assert walk == reference_random_walk(start, horizon, dims, mask, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -76,6 +76,34 @@ class TestGenerateWorld:
             generate_world(D10, 1.0, 0.7, seed_stream(1, 0))
 
 
+class TestSeedStream:
+    @pytest.mark.parametrize("word", [0, 2 ** 32 - 1])
+    def test_uint32_words_give_the_list_form_stream(self, word):
+        for key in ((word,), (word, 0, word), (7, word, 3, 2, word)):
+            want = np.random.default_rng(np.random.SeedSequence([word, *key]))
+            assert seed_stream(word, *key).bit_generator.state == want.bit_generator.state
+
+    def test_wide_master_seed_takes_the_list_path(self, monkeypatch):
+        seen = []
+        seed_sequence = np.random.SeedSequence
+
+        def spy(entropy):
+            seen.append(entropy)
+            return seed_sequence(entropy)
+
+        monkeypatch.setattr(np.random, "SeedSequence", spy)
+        got = seed_stream(2 ** 40, 3, 1)
+        monkeypatch.undo()
+        assert seen == [[2 ** 40, 3, 1]]
+        want = np.random.default_rng(np.random.SeedSequence([2 ** 40, 3, 1]))
+        assert got.bit_generator.state == want.bit_generator.state
+        assert seed_stream(7, 3, 1).bit_generator.state != got.bit_generator.state
+
+    def test_negative_word_rejected(self):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            seed_stream(5, -1)
+
+
 class TestExecuteDeployment:
     def test_safe_world_zero_malfunction_always_returns(self):
         truth = generate_world(D10, 0.0, 0.7, seed_stream(1, 0))
@@ -190,6 +218,31 @@ class TestRunTrial:
         for rec in tm.records:
             allowed = set(int(c) for c in part.sector_cells(rec.sector)) | hub
             assert set(rec.trajectory.cells) <= allowed
+
+    def test_sector_masks_built_once_per_base(self, monkeypatch):
+        from bapp.coordination import RelocationPolicy
+        calls = []
+        build = sim.sector_masks
+
+        def spy(base, dims, n):
+            calls.append(base)
+            return build(base, dims, n)
+
+        monkeypatch.setattr(sim, "sector_masks", spy)
+        for strategy in (StrategyKind.RANDOM, StrategyKind.STD_ITP, StrategyKind.BAPP_SIG):
+            calls.clear()
+            tm = run_trial(small_config(team_size=3, deployment_budget=5, strategy=strategy), 0)
+            assert tm.rounds_executed == 5
+            assert calls == [small_config().start_cell]
+        # a relocating base gets new masks each time it moves, and only then
+        calls.clear()
+        tm = run_trial(small_config(team_size=2, deployment_budget=8, relocate=True,
+                                    disposable=AgentSpec(AgentClass.DISPOSABLE, 0.10, 16),
+                                    relocation=RelocationPolicy(explore_radius=3.0, search_radius=2.0)),
+                       0)
+        moves = [b for i, b in enumerate(tm.base_track) if i == 0 or b != tm.base_track[i - 1]]
+        assert len(set(tm.base_track)) > 1
+        assert calls == moves
 
     def test_relocation_tracks_base(self):
         from bapp.coordination import RelocationPolicy
@@ -420,9 +473,12 @@ class TestCli:
                      "--lambda-grid", "0.9", "--gamma-grid", "0.1"]) == 0
         assert (sweep_out / "theory_sweep.csv").exists()
 
-    def test_oracle_check(self):
+    def test_oracle_check(self, capsys):
         from bapp.cli import main
         assert main(["oracle-check", "--plans", "5"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("INFO factored belief vs joint posterior over a 12-deployment")
+        assert float(last.rsplit("= ", 1)[1]) > 0.0
 
     def test_unknown_scenario_is_error(self, tmp_path):
         from bapp.cli import main
