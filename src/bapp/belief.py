@@ -72,8 +72,15 @@ class BeliefMap:
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
 
-    def with_probs(self, probs: np.ndarray) -> "BeliefMap":
-        return BeliefMap(self.dims, probs)
+    def _adopt(self, probs: np.ndarray) -> "BeliefMap":
+        """A belief on this grid over `probs`, which the caller built as a
+        float array in [0, 1] of the grid's length and hands over: the
+        updates own such an array, so it is neither checked nor copied."""
+        probs.flags.writeable = False
+        out = object.__new__(BeliefMap)
+        object.__setattr__(out, "dims", self.dims)
+        object.__setattr__(out, "probs", probs)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,7 +144,7 @@ def update_on_success(belief: BeliefMap, path_cells: Sequence[int], channel: Bin
     if np.any(den <= 0.0):
         raise InconsistentObservationError("a safe return was impossible under this belief")
     probs[cells] = num / den
-    return belief.with_probs(probs)
+    return belief._adopt(probs)
 
 
 def update_on_failure(belief: BeliefMap, path_cells: Sequence[int], channel: BinaryChannel) -> BeliefMap:
@@ -173,7 +180,7 @@ def update_on_failure(belief: BeliefMap, path_cells: Sequence[int], channel: Bin
             others[zero] = nonzero_prod
     cond_fail = 1.0 - (1.0 - lam) * others
     probs[cells] = np.clip(p * cond_fail / p_fail, 0.0, 1.0)
-    return belief.with_probs(probs)
+    return belief._adopt(probs)
 
 
 def global_entropy(belief: BeliefMap) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 from .belief import BeliefMap, GridDims
 from .errors import ParameterError
 from .info_measures import binary_entropy
-from .planner import _neighbor_tables, neighbors
+from .planner import _neighbor_table, neighbors
 
 __all__ = [
     "Partition",
@@ -154,11 +154,11 @@ def reachable_cells(belief: BeliefMap, start: int, safety_threshold: float) -> n
     if not dims.contains(start):
         raise ParameterError(f"cell {start} outside grid")
     # breadth-first, one ring per step. Both masks carry one extra, always
-    # False entry, which the -1 padding of the successor table indexes.
+    # False entry for the padding cell n_cells of the successor table.
     free = np.append(belief.probs < safety_threshold, False)
     reach = np.zeros(dims.n_cells + 1, dtype=bool)
     if free[start]:
-        succ = _neighbor_tables(dims)[1]
+        succ = _neighbor_table(dims)
         reach[start] = True
         ring = np.array([start])
         while ring.size:

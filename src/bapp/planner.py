@@ -30,37 +30,30 @@ __all__ = [
     "per_cell_gain",
 ]
 
-_NEIGHBOR_CACHE: dict[tuple[int, int], tuple[tuple[tuple[int, ...], ...], np.ndarray]] = {}
+_NEIGHBOR_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
-def _neighbor_tables(dims: GridDims) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+def _neighbor_table(dims: GridDims) -> np.ndarray:
     """All 9-connected successors per cell (self included), ascending order.
 
-    One cache entry holds them twice: as tuples, and as a read-only
-    (n_cells, 9) array whose rows are padded with -1 for the missing moves.
+    A read-only (n_cells + 1, 9) array: rows are padded with the cell
+    n_cells for the missing moves, and the extra row n_cells is all padding,
+    so the padding cell only ever leads to itself.
     """
     key = (dims.rows, dims.cols)
-    entry = _NEIGHBOR_CACHE.get(key)
-    if entry is None:
+    table = _NEIGHBOR_CACHE.get(key)
+    if table is None:
         rows, cols = key
-        out = []
-        for r in range(rows):
-            for c in range(cols):
-                cells = []
-                for dr in (-1, 0, 1):
-                    for dc in (-1, 0, 1):
-                        rr, cc = r + dr, c + dc
-                        if 0 <= rr < rows and 0 <= cc < cols:
-                            cells.append(rr * cols + cc)
-                out.append(tuple(sorted(cells)))
-        table = tuple(out)
-        padded = np.full((len(table), 9), -1, dtype=np.intp)
-        for cell, row in enumerate(table):
-            padded[cell, :len(row)] = row
-        padded.setflags(write=False)
-        entry = (table, padded)
-        _NEIGHBOR_CACHE[key] = entry
-    return entry
+        n = rows * cols
+        table = np.full((n + 1, 9), n, dtype=np.intp)
+        for cell in range(n):
+            r, c = divmod(cell, cols)
+            row = [rr * cols + cc for rr in (r - 1, r, r + 1) for cc in (c - 1, c, c + 1)
+                   if 0 <= rr < rows and 0 <= cc < cols]
+            table[cell, :len(row)] = row
+        table.setflags(write=False)
+        _NEIGHBOR_CACHE[key] = table
+    return table
 
 
 @dataclass(frozen=True)
@@ -77,11 +70,11 @@ class Trajectory:
         if not dims.contains(self.start):
             raise ParameterError(f"start {self.start} outside grid")
         prev = self.start
-        table = _neighbor_tables(dims)[0]
+        succ = _neighbor_table(dims)
         for c in self.cells:
             if not dims.contains(c):
                 raise ParameterError(f"cell {c} outside grid")
-            if c not in table[prev]:
+            if c not in succ[prev]:
                 raise ParameterError(f"move {prev} -> {c} is not 9-connected")
             if mask is not None and c != self.start and c not in mask:
                 raise ParameterError(f"cell {c} outside the allowed mask")
@@ -113,10 +106,9 @@ def neighbors(cell: int, dims: GridDims, mask: Optional[frozenset] = None) -> tu
     """
     if not dims.contains(cell):
         raise ParameterError(f"cell {cell} outside grid")
-    cand = _neighbor_tables(dims)[0][cell]
-    if mask is None:
-        return cand
-    return tuple(c for c in cand if c == cell or c in mask)
+    n = dims.n_cells
+    return tuple(c for c in _neighbor_table(dims)[cell].tolist()
+                 if c < n and (mask is None or c == cell or c in mask))
 
 
 def per_cell_gain(belief: BeliefMap, channel: BinaryChannel, alpha,
@@ -190,17 +182,16 @@ def plan_paths(belief: BeliefMap, start: int, config: PlanConfig, channel: Binar
     """Beam search from `start` for every (mask, alpha) group, in one batched pass.
 
     `config.mask` and `config.alpha` are not read: group g keeps to the
-    cells of groups[g][0] (None: the whole grid; staying put is always
-    allowed) and scores at alpha groups[g][1]. Each group has its own beam;
-    survival and the successor table are shared, and so is the gain row of
-    groups with the same alpha. At each depth every retained partial path is
-    expanded through all its allowed 9-connected successors, the partial
-    paths of one group are ranked by score with ties broken toward the
-    lexicographically smallest cell sequence, and the top beam_width
-    survive. Returns one (score, cells) per group, in the order given: the
-    path the group gets when planned alone, with a score equal to
-    score_path of those cells at its alpha, to the bit. Deterministic for
-    fixed inputs.
+    cells of groups[g][0] (None: the whole grid) and scores at alpha
+    groups[g][1]. Each group has its own beam; survival and the successor
+    table are shared, and so is the gain row of groups with the same alpha.
+    At each depth every retained partial path is expanded through its
+    allowed 9-connected successors (a mask holds the start, so staying put
+    is always allowed), and each group keeps its top beam_width children by
+    score, ties going to the lexicographically smallest cell sequence.
+    Returns one (score, cells) per group, in the order given: the path the
+    group gets when planned alone, with a score equal to score_path of those
+    cells at its alpha, to the bit. Deterministic for fixed inputs.
     """
     dims = belief.dims
     n = dims.n_cells
@@ -208,56 +199,65 @@ def plan_paths(belief: BeliefMap, start: int, config: PlanConfig, channel: Binar
         raise ParameterError(f"start {start} outside grid")
     if len(groups) == 0:
         raise ParameterError("no group to plan")
-    succ = _neighbor_tables(dims)[1]
-    allowed = None
-    if any(mask is not None for mask, _ in groups):
-        allowed = np.ones((len(groups), n), dtype=bool)
-        for row, (mask, _) in zip(allowed, groups):
-            if mask is not None:
-                row[:] = False
-                row[_mask_cells(start, mask, n)] = True
+    succ = _neighbor_table(dims)
+    n_groups, stride = len(groups), n + 1
+    # column n, the padding cell, is never allowed and carries no gain
+    allowed = np.zeros((n_groups, stride), dtype=bool)
+    for row, (mask, _) in zip(allowed, groups):
+        row[slice(n) if mask is None else _mask_cells(start, mask, n)] = True
     alphas = tuple(dict.fromkeys(a for _, a in groups))
-    gain = _round_gains(belief, channel, alphas, config.mi_form)[[alphas.index(a) for _, a in groups]]
-    keep = _round_keep(belief, channel)
+    gain = np.zeros((n_groups, stride))
+    gain[:, :n] = _round_gains(belief, channel, alphas, config.mi_form)[[alphas.index(a) for _, a in groups]]
+    keep = np.append(_round_keep(belief, channel), 1.0)
+    allowed, gain = allowed.ravel(), gain.ravel()
     width = config.beam_width
 
-    # One row per partial path: rows are grouped, groups ascending, and kept
-    # in lexicographic cell order within a group. The group key is the
-    # smallest unsigned type that holds it, which lets lexsort radix-sort
-    # it. The start cell is not marked visited: staying put is a first visit.
-    group = np.arange(len(groups), dtype=np.min_scalar_type(len(groups) - 1))
-    score = np.zeros(len(groups))
-    surv = np.ones(len(groups))
-    cells = np.empty((len(groups), 0), dtype=np.intp)
-    visited = np.zeros((len(groups), n), dtype=bool)
-    last = np.full(len(groups), start, dtype=np.intp)
+    # Each group holds `rows` = min(width, 9**depth) partial paths in
+    # lexicographic cell order, groups ascending. A path that took a move its
+    # group does not allow, or a padding move, is dead: it scores -inf and so
+    # do its children. The start is not marked visited: staying put is a
+    # first visit. steps[d] holds each row's parent row and cell at depth d.
+    rows, steps, parent = 1, [], np.empty(0, dtype=np.intp)
+    score, surv = np.zeros(n_groups), np.ones(n_groups)
+    visited = np.zeros((n_groups, stride), dtype=bool)
+    cell = np.full(n_groups, start, dtype=np.intp)  # each row's last cell
     for _ in range(config.horizon):
-        cand = succ[last]
-        move = cand >= 0
-        if allowed is not None:
-            # staying put is exempt from the mask
-            move &= allowed[group[:, None], cand] | (cand == last[:, None])
-        # parent-major, successors ascending: children stay in lexicographic order
-        p, j = np.nonzero(move)
-        c = cand[p, j]
-        group, prev_score, prev_surv = group[p], score[p], surv[p]
-        score = np.where(visited[p, c], prev_score, prev_score + prev_surv * gain[group, c])
-        surv = prev_surv * keep[c]
-        if width is not None:
-            # stable, so equal scores keep their lexicographic order; groups
-            # hold the same positions in `order` as in the rows, so a position
-            # minus its group's first row is the rank within the group
-            order = np.lexsort((-score, group))
-            rank = np.arange(len(group)) - np.searchsorted(group, group)
-            kept = np.sort(order[rank < width])
-            p, c, score, surv, group = p[kept], c[kept], score[kept], surv[kept], group[kept]
-        cells = np.concatenate((cells[p], c[:, None]), axis=1)
-        visited = visited[p]
-        visited[np.arange(len(c)), c] = True
-        last = c
-    order = np.lexsort((-score, group))
-    heads = order[np.flatnonzero(np.r_[True, group[1:] != group[:-1]])]
-    return [(float(score[i]), tuple(cells[i].tolist())) for i in heads]
+        kids = rows * 9
+        if parent.size != n_groups * kids:
+            # for child k of the flat (rows, 9) blocks: its parent row, and the
+            # offsets of its own visited row, its parent's and its group's gain row
+            parent = np.arange(n_groups * kids) // 9
+            child_at = np.arange(n_groups * kids) * stride
+            parent_at, group_at = parent * stride, parent // rows * stride
+        cell = succ.take(cell, axis=0).ravel()
+        at = group_at + cell
+        prev_score, prev_surv = score.take(parent), surv.take(parent)
+        score = np.where(visited.take(parent_at + cell), prev_score, prev_score + prev_surv * gain.take(at))
+        score = np.where(allowed.take(at), score, -np.inf)
+        surv = prev_surv * keep.take(cell)
+        kept = parent
+        if width is not None and kids > width:
+            # A group keeps its children above its width-th best score, then
+            # those equal to it in row order until it holds `width`: the top
+            # width of a stable sort, still in lexicographic order.
+            block = score.reshape(n_groups, kids)
+            cut = np.partition(block, kids - width, axis=1)[:, kids - width, None]
+            above, tie = block > cut, block == cut
+            room = width - above.sum(axis=1, keepdims=True)
+            chosen = np.flatnonzero(above | (tie & (np.cumsum(tie, axis=1) <= room)))
+            kept, cell, score, surv = parent.take(chosen), cell.take(chosen), score.take(chosen), surv.take(chosen)
+        visited = visited.take(kept, axis=0)
+        visited.ravel()[child_at[:len(cell)] + cell] = True
+        steps.append((kept, cell))
+        rows = len(cell) // n_groups
+    # each group's first best row, then its cells back through the parents
+    at = score.reshape(n_groups, rows).argmax(axis=1) + np.arange(n_groups) * rows
+    best = score[at].tolist()
+    path = np.empty((n_groups, config.horizon), dtype=np.intp)
+    for depth in reversed(range(config.horizon)):
+        kept, cell = steps[depth]
+        path[:, depth], at = cell[at], kept[at]
+    return [(s, tuple(cells)) for s, cells in zip(best, path.tolist())]
 
 
 def plan_path(belief: BeliefMap, start: int, config: PlanConfig, channel: BinaryChannel) -> Trajectory:
@@ -272,16 +272,16 @@ def plan_path(belief: BeliefMap, start: int, config: PlanConfig, channel: Binary
 def _walk_table(dims: GridDims, mask: Optional[frozenset]) -> tuple:
     """Each cell's walk options, neighbors(cell, dims, mask), indexed by cell;
     None for a cell outside the mask. Checks that the mask lies in the grid."""
-    table, succ = _neighbor_tables(dims)
-    if mask is None:
-        return table
     n = dims.n_cells
-    idx = np.fromiter(mask, dtype=np.intp, count=len(mask))
-    if idx.min() < 0 or idx.max() >= n:
-        raise ParameterError(f"plan mask cells must lie in [0, {n})")
-    inside = np.zeros(n + 1, dtype=bool)  # the extra entry is what the -1 padding indexes
+    if mask is None:
+        idx = np.arange(n)
+    else:
+        idx = np.fromiter(mask, dtype=np.intp, count=len(mask))
+        if idx.min() < 0 or idx.max() >= n:
+            raise ParameterError(f"plan mask cells must lie in [0, {n})")
+    inside = np.zeros(n + 1, dtype=bool)  # the padding cell n is never inside
     inside[idx] = True
-    rows = succ[idx]
+    rows = _neighbor_table(dims)[idx]
     # a walk only stands on mask cells, so staying put is always in its row
     options = [None] * n
     for cell, row, ok in zip(idx.tolist(), rows.tolist(), inside[rows].tolist()):

@@ -124,6 +124,30 @@ class TestFailureUpdate:
             update_on_failure(b, [0], BinaryChannel(0.7, 0.0))
 
 
+class TestUpdateResults:
+    def test_read_only_and_not_aliased(self):
+        prior = BeliefMap(GridDims(3, 3), np.linspace(0.1, 0.9, 9))
+        before = prior.probs.copy()
+        for update in (update_on_success, update_on_failure):
+            post = update(prior, (0, 4, 4, 8), CH)
+            assert not post.probs.flags.writeable
+            with pytest.raises(ValueError):
+                post.probs[0] = 0.5
+            assert not np.shares_memory(post.probs, prior.probs)
+            assert np.array_equal(prior.probs, before)
+            # the unchecked result would pass every public check
+            assert np.array_equal(BeliefMap(post.dims, post.probs).probs, post.probs)
+
+    def test_public_constructor_copies_and_checks(self):
+        arr = np.full(9, 0.5)
+        b = BeliefMap(GridDims(3, 3), arr)
+        assert not np.shares_memory(b.probs, arr) and not b.probs.flags.writeable
+        arr[0] = 0.9
+        assert b.probs[0] == 0.5
+        with pytest.raises(ParameterError, match="does not match grid"):
+            BeliefMap(GridDims(3, 3), np.full(8, 0.5))
+
+
 class TestOracleEquivalence:
     def test_random_paths_match_enumeration(self):
         rng = np.random.default_rng(8)

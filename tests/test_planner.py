@@ -298,6 +298,74 @@ def test_grouped_beam_matches_single_group_plans(case):
         assert score == score_path(belief, path, channel, a, cfg.mi_form)
 
 
+def test_three_way_tie_across_the_cut_keeps_the_first_two():
+    # start 1 on a 1x4 row: its children (0), (1) and (2) tie, and a width-2
+    # cut keeps (0) and (1), so (2, 3), the exhaustive best, is out of reach
+    b = BeliefMap(GridDims(1, 4), np.array([0.2, 0.2, 0.2, 0.5]))
+    first = [score_path(b, Trajectory(start=1, cells=(c,)), CH, 1.0) for c in (0, 1, 2)]
+    assert first[0] == first[1] == first[2]
+    cfg = PlanConfig(horizon=2, beam_width=2)
+    assert plan_path(b, 1, cfg, CH).cells == (0, 1)
+    assert reference_plan_path(b, 1, cfg, CH).cells == (0, 1)
+    assert plan_path(b, 1, replace(cfg, beam_width=3), CH).cells == (2, 3)
+
+
+@st.composite
+def _thin_beside_wide_groups(draw):
+    """1xN grids on which groups masked to {start} have one live path each,
+    fewer than the width, beside unmasked groups that exceed it."""
+    dims = GridDims(1, draw(st.integers(2, 12)))
+    probs = draw(st.lists(st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)),
+                          min_size=dims.n_cells, max_size=dims.n_cells))
+    start = draw(st.integers(0, dims.n_cells - 1))
+    masks = [frozenset({start})] * draw(st.integers(1, 3)) + [None] * draw(st.integers(1, 3))
+    masks = draw(st.permutations(masks))
+    groups = [(mask, draw(st.sampled_from((0.5, 1.0, 2.0)))) for mask in masks]
+    cfg = PlanConfig(horizon=draw(st.integers(1, 8)), beam_width=draw(st.sampled_from((2, 3, 8))),
+                     mi_form=draw(st.sampled_from(MiForm)))
+    channel = draw(st.sampled_from((CH, BinaryChannel(0.7, 0.1), BinaryChannel(0.5, 0.0))))
+    return BeliefMap(dims, np.array(probs)), start, cfg, groups, channel
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_thin_beside_wide_groups())
+def test_thin_groups_beside_wide_groups_match_reference_beam(case):
+    belief, start, cfg, groups, channel = case
+    got = plan_paths(belief, start, cfg, channel, groups)
+    for (mask, a), (score, cells) in zip(groups, got):
+        ref = reference_plan_path(belief, start, replace(cfg, mask=mask, alpha=a), channel)
+        assert cells == ref.cells
+        assert score == score_path(belief, ref, channel, a, cfg.mi_form)
+        if mask is not None:
+            assert cells == (start,) * cfg.horizon
+
+
+@st.composite
+def _sector_rounds(draw):
+    """A team round's sector masks on a 12x12 to 20x20 grid, planned at H=7, width 32."""
+    dims = GridDims(draw(st.integers(12, 20)), draw(st.integers(12, 20)))
+    base = draw(st.integers(0, dims.n_cells - 1))
+    n = draw(st.sampled_from((2, 3, 15)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # quantised priors, so that scores tie
+    probs = rng.choice((0.05, 0.25, 0.5, 0.75), size=dims.n_cells)
+    alpha = draw(st.sampled_from((0.8, 1.0)))
+    cfg = PlanConfig(horizon=7, beam_width=32, mi_form=draw(st.sampled_from(MiForm)))
+    groups = [(mask, alpha) for mask in sector_masks(base, dims, n)]
+    return BeliefMap(dims, probs), base, cfg, groups, BinaryChannel(0.7, 0.1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_sector_rounds())
+def test_sector_round_matches_reference_beam(case):
+    belief, base, cfg, groups, channel = case
+    got = plan_paths(belief, base, cfg, channel, groups)
+    for (mask, a), (score, cells) in zip(groups, got):
+        ref = reference_plan_path(belief, base, replace(cfg, mask=mask, alpha=a), channel)
+        assert cells == ref.cells
+        assert score == score_path(belief, ref, channel, a, cfg.mi_form)
+
+
 class TestRoundGainMemo:
     @staticmethod
     def belief(seed):
