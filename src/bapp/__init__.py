@@ -10,8 +10,8 @@ Carlo mission simulator with a CLI.
 
 from .belief import (BeliefMap, GridDims, GroundTruthMap, cell_failure_prob, global_entropy,
                      init_uniform, update_on_failure, update_on_success)
-from .coordination import (Partition, RelocationPolicy, radial_partition, reachable_cells,
-                           regional_entropy, sector_masks, select_base_site)
+from .coordination import (RelocationPolicy, radial_partition, reachable_cells, regional_entropy,
+                           sector_masks, select_base_site)
 from .errors import (DistributionError, FleetExhaustedError, InconsistentObservationError,
                      ParameterError, ScenarioError)
 from .experiment import (ExperimentResult, TheorySweepResult, run_experiment, theory_sweep)

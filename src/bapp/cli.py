@@ -77,6 +77,10 @@ def _cmd_theory_sweep(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     """Spot-check the closed-form updates and the beam search against enumeration."""
+    if args.seed < 0:
+        raise ScenarioError(f"seed must be >= 0, got {args.seed}")
+    if args.plans < 1:
+        raise ScenarioError(f"plans must be >= 1, got {args.plans}")
     rng = np.random.default_rng(args.seed)
     dims = GridDims(3, 3)
     channels = [BinaryChannel(0.7, 0.1), BinaryChannel(0.9, 0.1)]
@@ -115,8 +119,7 @@ def _cmd_oracle_check(args) -> int:
     mismatches = 0
     for k in range(args.plans):
         belief = BeliefMap(dims, rng.uniform(0.02, 0.98, size=9))
-        cfg = PlanConfig(horizon=3, beam_width=None, alpha=1.0)
-        got = plan_path(belief, 4, cfg, channels[0])
+        got = plan_path(belief, 4, PlanConfig(horizon=3, beam_width=None), channels[0])
         want = exhaustive_plan(belief, 4, 3, channels[0], 1.0)
         if got != want:
             mismatches += 1
@@ -129,8 +132,9 @@ def _cmd_oracle_check(args) -> int:
 
     # the belief is exact per deployment, not across them: report how far it
     # drifts from the joint posterior over a tiny mission (not a pass/fail)
-    mission = MissionConfig(dims=dims, team_size=1, horizon=4, deployment_budget=12,
-                            strategy=StrategyKind.STD_ITP, master_seed=args.seed)
+    mission = MissionConfig(dims=dims, team_size=1, deployment_budget=12,
+                            strategy=StrategyKind.STD_ITP, master_seed=args.seed,
+                            plan=PlanConfig(horizon=4))
     channel = mission.channels()[AgentClass.DISPOSABLE]
     belief = init_uniform(dims)
     history = []

@@ -22,7 +22,6 @@ from .info_measures import binary_entropy
 from .planner import _neighbor_table, neighbors
 
 __all__ = [
-    "Partition",
     "RelocationPolicy",
     "radial_partition",
     "sector_masks",
@@ -30,21 +29,6 @@ __all__ = [
     "reachable_cells",
     "select_base_site",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class Partition:
-    sector_count: int
-    assignment: np.ndarray  # sector id per cell
-
-    def __post_init__(self):
-        arr = np.asarray(self.assignment, dtype=int)
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "assignment", arr)
-
-    def sector_cells(self, sector: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment == sector)
 
 
 @dataclass(frozen=True)
@@ -98,13 +82,15 @@ def _window(table: np.ndarray, dims: GridDims, cell: int) -> np.ndarray:
     return table[r0:r0 + dims.rows, c0:c0 + dims.cols].ravel()
 
 
-def radial_partition(base: int, dims: GridDims, n: int) -> Partition:
-    """Assign every cell to one of n angular sectors about the base cell."""
+def radial_partition(base: int, dims: GridDims, n: int) -> np.ndarray:
+    """Sector id in [0, n) of every cell about the base cell, as a read-only array."""
     if n < 1:
         raise ParameterError("sector count must be >= 1")
     if not dims.contains(base):
         raise ParameterError(f"base cell {base} outside grid")
-    return Partition(sector_count=n, assignment=_window(_offset_tables(dims, n)[0], dims, base))
+    sectors = _window(_offset_tables(dims, n)[0], dims, base)
+    sectors.setflags(write=False)
+    return sectors
 
 
 def sector_masks(base: int, dims: GridDims, n: int) -> list:
@@ -114,31 +100,33 @@ def sector_masks(base: int, dims: GridDims, n: int) -> list:
     """
     if n == 1:
         return [None]
-    partition = radial_partition(base, dims, n)
+    sectors = radial_partition(base, dims, n)
     # thin angular wedges need not touch the base under 9-connectivity,
     # so every robot may cross the 3x3 hub around the base on its way out
     hub = frozenset(neighbors(base, dims))
-    return [frozenset(int(c) for c in partition.sector_cells(s)) | hub for s in range(n)]
+    return [frozenset(np.flatnonzero(sectors == s).tolist()) | hub for s in range(n)]
 
 
 def regional_entropy(belief: BeliefMap, candidate: int, policy: RelocationPolicy,
-                     partition: Partition) -> tuple[np.ndarray, float]:
+                     n: int) -> tuple[np.ndarray, float]:
     """Per-sector mean binary entropy near a candidate site, plus its average.
 
-    Each sector's mean is taken over its cells within Euclidean distance
-    explore_radius of the candidate; a sector with no such cells scores 0,
-    which penalizes sites that leave some robot with nothing nearby.
+    The sectors are those of the n-sector radial partition about the
+    candidate itself. Each sector's mean is taken over its cells within
+    Euclidean distance explore_radius of the candidate; a sector with no
+    such cells scores 0, which penalizes sites that leave some robot with
+    nothing nearby.
     """
     dims = belief.dims
     if not dims.contains(candidate):
         raise ParameterError(f"candidate {candidate} outside grid")
-    dist2 = _window(_offset_tables(dims, partition.sector_count)[1], dims, candidate)
+    sectors = radial_partition(candidate, dims, n)
+    dist2 = _window(_offset_tables(dims, n)[1], dims, candidate)
     in_disc = dist2 <= policy.explore_radius ** 2
     ent = binary_entropy(belief.probs, base=2.0)
-    n = partition.sector_count
     means = np.zeros(n)
     for s in range(n):
-        sel = in_disc & (partition.assignment == s)
+        sel = in_disc & (sectors == s)
         if np.any(sel):
             means[s] = float(ent[sel].mean())
     return means, float(means.mean())

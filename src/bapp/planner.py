@@ -85,17 +85,13 @@ class Trajectory:
 class PlanConfig:
     horizon: int = 15
     beam_width: Optional[int] = 64  # None = exhaustive
-    alpha: float = 1.0
     mi_form: MiForm = MiForm.POSTERIOR
-    mask: Optional[frozenset] = None
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ParameterError(f"horizon must be >= 1, got {self.horizon}")
         if self.beam_width is not None and self.beam_width < 1:
             raise ParameterError(f"beam width must be >= 1, got {self.beam_width}")
-        if self.mask is not None:
-            object.__setattr__(self, "mask", frozenset(int(c) for c in self.mask))
 
 
 def neighbors(cell: int, dims: GridDims, mask: Optional[frozenset] = None) -> tuple[int, ...]:
@@ -157,34 +153,14 @@ def _mask_cells(start: int, mask: frozenset, n: int) -> np.ndarray:
     return idx
 
 
-# Sectors planned one at a time (bapp-sig teams, and the misses of a batched
-# round) plan against their round's one belief, so the gain and survival
-# arrays are memoised. BeliefMap hashes by identity and its probs are
-# read-only, and the cache holds each key's belief alive, so a hit is always
-# for the very same probabilities.
-@functools.lru_cache(maxsize=16)
-def _round_gains(belief: BeliefMap, channel: BinaryChannel, alphas: tuple, form: MiForm) -> np.ndarray:
-    """per_cell_gain at each of `alphas`, one row each, from one mi_behavioral call."""
-    gains = per_cell_gain(belief, channel, np.array(alphas)[:, None], form)
-    gains.setflags(write=False)
-    return gains
-
-
-@functools.lru_cache(maxsize=16)
-def _round_keep(belief: BeliefMap, channel: BinaryChannel) -> np.ndarray:
-    keep = 1.0 - cell_failure_prob(belief.probs, channel)
-    keep.setflags(write=False)
-    return keep
-
-
 def plan_paths(belief: BeliefMap, start: int, config: PlanConfig, channel: BinaryChannel,
                groups: Sequence[tuple[Optional[frozenset], float]]) -> list[tuple[float, tuple[int, ...]]]:
     """Beam search from `start` for every (mask, alpha) group, in one batched pass.
 
-    `config.mask` and `config.alpha` are not read: group g keeps to the
-    cells of groups[g][0] (None: the whole grid) and scores at alpha
-    groups[g][1]. Each group has its own beam; survival and the successor
-    table are shared, and so is the gain row of groups with the same alpha.
+    Group g keeps to the cells of groups[g][0] (None: the whole grid) and
+    scores at alpha groups[g][1]. Each group has its own beam; survival and
+    the successor table are shared, and so is the gain row of groups with
+    the same alpha.
     At each depth every retained partial path is expanded through its
     allowed 9-connected successors (a mask holds the start, so staying put
     is always allowed), and each group keeps its top beam_width children by
@@ -207,8 +183,9 @@ def plan_paths(belief: BeliefMap, start: int, config: PlanConfig, channel: Binar
         row[slice(n) if mask is None else _mask_cells(start, mask, n)] = True
     alphas = tuple(dict.fromkeys(a for _, a in groups))
     gain = np.zeros((n_groups, stride))
-    gain[:, :n] = _round_gains(belief, channel, alphas, config.mi_form)[[alphas.index(a) for _, a in groups]]
-    keep = np.append(_round_keep(belief, channel), 1.0)
+    per_alpha = per_cell_gain(belief, channel, np.array(alphas)[:, None], config.mi_form)
+    gain[:, :n] = per_alpha[[alphas.index(a) for _, a in groups]]
+    keep = np.append(1.0 - cell_failure_prob(belief.probs, channel), 1.0)
     allowed, gain = allowed.ravel(), gain.ravel()
     width = config.beam_width
 
@@ -260,9 +237,10 @@ def plan_paths(belief: BeliefMap, start: int, config: PlanConfig, channel: Binar
     return [(s, tuple(cells)) for s, cells in zip(best, path.tolist())]
 
 
-def plan_path(belief: BeliefMap, start: int, config: PlanConfig, channel: BinaryChannel) -> Trajectory:
-    """Best fixed-horizon trajectory from `start` in config.mask at config.alpha (see plan_paths)."""
-    [(_, cells)] = plan_paths(belief, start, config, channel, ((config.mask, config.alpha),))
+def plan_path(belief: BeliefMap, start: int, config: PlanConfig, channel: BinaryChannel,
+              mask: Optional[frozenset] = None, alpha: float = 1.0) -> Trajectory:
+    """Best fixed-horizon trajectory from `start` within `mask` at `alpha` (see plan_paths)."""
+    [(_, cells)] = plan_paths(belief, start, config, channel, ((mask, alpha),))
     return Trajectory(start=start, cells=cells)
 
 

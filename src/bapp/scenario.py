@@ -18,7 +18,7 @@ from .errors import ParameterError, ScenarioError
 from .info_measures import MiForm
 from .planner import PlanConfig
 from .sim import AgentSpec, MissionConfig
-from .strategies import AgentClass, SigPolicy, StrategyKind, TriggerPolicy
+from .strategies import SigPolicy, StrategyKind, TriggerPolicy
 
 __all__ = ["load_scenario", "parse_scenario_text", "builtin_scenarios", "scenario_to_text"]
 
@@ -144,12 +144,11 @@ def _config_from_values(values: dict) -> tuple[MissionConfig, int]:
             lethality=values["lethality"],
             hazard_density=values["hazard_density"],
             team_size=team,
-            horizon=values["horizon"],
             deployment_budget=budget,
             strategy=strategy,
             master_seed=values["master_seed"],
-            disposable=AgentSpec(AgentClass.DISPOSABLE, values["disposable_gamma"], disp_stock),
-            high_fidelity=AgentSpec(AgentClass.HIGH_FIDELITY, values["highfid_gamma"], hf_stock),
+            disposable=AgentSpec(values["disposable_gamma"], disp_stock),
+            high_fidelity=AgentSpec(values["highfid_gamma"], hf_stock),
             plan=PlanConfig(horizon=values["horizon"], beam_width=values["beam_width"], mi_form=mi_form),
             sig=SigPolicy(values["sig_alpha_min"], values["sig_alpha_max"],
                           values["sig_halfwidth"], values["sig_step"]),

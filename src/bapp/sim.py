@@ -15,7 +15,7 @@ failure draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -58,7 +58,8 @@ def seed_stream(master_seed: int, *key: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class AgentSpec:
-    agent_class: AgentClass
+    """Malfunction rate and stock of the agent class named by its MissionConfig slot."""
+
     malfunction_rate: float
     stock: int
 
@@ -75,7 +76,6 @@ class MissionConfig:
     lethality: float = 0.7
     hazard_density: float = 0.18
     team_size: int = 1
-    horizon: int = 15
     deployment_budget: int = 40
     strategy: StrategyKind = StrategyKind.STD_ITP
     master_seed: int = 0
@@ -89,8 +89,8 @@ class MissionConfig:
     base_cell: Optional[int] = None
 
     def __post_init__(self):
-        if self.team_size < 1 or self.horizon < 1:
-            raise ScenarioError("team size and horizon must be >= 1")
+        if self.team_size < 1:
+            raise ScenarioError("team size must be >= 1")
         if self.deployment_budget < 0:
             raise ScenarioError("deployment budget must be >= 0")
         if not (0.0 <= self.lethality <= 1.0):
@@ -101,16 +101,18 @@ class MissionConfig:
             raise ScenarioError(f"master seed must be >= 0, got {self.master_seed}")
         if self.disposable is None:
             object.__setattr__(self, "disposable",
-                               AgentSpec(AgentClass.DISPOSABLE, 0.10, self.deployment_budget * self.team_size))
+                               AgentSpec(0.10, self.deployment_budget * self.team_size))
         if self.high_fidelity is None:
             object.__setattr__(self, "high_fidelity",
-                               AgentSpec(AgentClass.HIGH_FIDELITY, 0.01, 2 * self.team_size))
+                               AgentSpec(0.01, 2 * self.team_size))
         if self.disposable.stock + self.high_fidelity.stock < 1:
             raise ScenarioError("the fleet needs at least one robot in stock")
         if self.base_cell is not None and not self.dims.contains(self.base_cell):
             raise ScenarioError(f"base cell {self.base_cell} outside grid")
-        if self.plan.horizon != self.horizon:
-            object.__setattr__(self, "plan", replace(self.plan, horizon=self.horizon))
+
+    @property
+    def horizon(self) -> int:
+        return self.plan.horizon
 
     @property
     def start_cell(self) -> int:
@@ -233,7 +235,7 @@ def run_trial(config: MissionConfig, trial: int) -> TrialMetrics:
     loss_series = [0]
     base_track = []
     d50 = None
-    masks_base = None  # the base that `masks` and `sector_plans` were built for
+    masks_base = None  # the base that `masks` was built for
 
     for d in range(1, config.deployment_budget + 1):
         if fleet.disposable_remaining + fleet.high_fidelity_remaining <= 0:
@@ -245,7 +247,6 @@ def run_trial(config: MissionConfig, trial: int) -> TrialMetrics:
         if base != masks_base:
             masks_base = base
             masks = sector_masks(base, dims, n)
-            sector_plans = [None] * n  # each sector's PlanConfig, built when first planned alone
         planned = plan_round(config.strategy, fleet, round_belief, base, config.plan, channels,
                              masks, trigger=config.trigger)
         decision, paths = planned if planned is not None else (None, None)
@@ -259,11 +260,9 @@ def run_trial(config: MissionConfig, trial: int) -> TrialMetrics:
                     # changed this one's decision, so it is planned alone
                     walk_rng = (seed_stream(seed, trial, _TAG_WALK, d, sector)
                                 if config.strategy is StrategyKind.RANDOM else None)
-                    if sector_plans[sector] is None:
-                        sector_plans[sector] = replace(config.plan, mask=mask)
                     cls, traj, alpha_used = select_deployment(
-                        config.strategy, fleet, round_belief, base, sector_plans[sector],
-                        channels, sig=config.sig, trigger=config.trigger, rng=walk_rng)
+                        config.strategy, fleet, round_belief, base, config.plan, channels,
+                        mask=mask, sig=config.sig, trigger=config.trigger, rng=walk_rng)
             except FleetExhaustedError:
                 break  # the next round's stock check ends the trial
             theta, fail_step = execute_deployment(

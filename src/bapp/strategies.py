@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -162,15 +162,16 @@ def sig_sweep_grid(alpha_hat: float, policy: SigPolicy) -> list[float]:
 
 
 def sig_select_path(fleet: FleetState, policy: SigPolicy, belief: BeliefMap, start: int,
-                    plan: PlanConfig, channel: BinaryChannel) -> tuple[Trajectory, float]:
-    """Plan one path per sweep alpha and keep the highest-scoring one.
+                    plan: PlanConfig, channel: BinaryChannel,
+                    mask: Optional[frozenset] = None) -> tuple[Trajectory, float]:
+    """Plan one path within `mask` per sweep alpha and keep the highest-scoring one.
 
     The whole sweep is one plan_paths call. Each candidate is scored by its
     expected information at its own alpha; ties go to the smaller alpha.
     """
     alphas = sig_sweep_grid(sig_alpha(fleet, policy), policy)
     best = None
-    found = plan_paths(belief, start, plan, channel, [(plan.mask, a) for a in alphas])
+    found = plan_paths(belief, start, plan, channel, [(mask, a) for a in alphas])
     for a, (s, cells) in zip(alphas, found):
         if best is None or s > best[0]:
             best = (s, a, cells)
@@ -249,22 +250,22 @@ def plan_round(strategy: StrategyKind, fleet: FleetState, belief: BeliefMap, sta
 
 
 def select_deployment(strategy: StrategyKind, fleet: FleetState, belief: BeliefMap, start: int,
-                      plan: PlanConfig, channels: dict, sig: Optional[SigPolicy] = None,
-                      trigger: Optional[TriggerPolicy] = None,
+                      plan: PlanConfig, channels: dict, mask: Optional[frozenset] = None,
+                      sig: Optional[SigPolicy] = None, trigger: Optional[TriggerPolicy] = None,
                       rng: Optional[np.random.Generator] = None) -> tuple[AgentClass, Trajectory, float]:
-    """Dispatch one deployment decision: (agent class, trajectory, alpha used)."""
+    """Dispatch one deployment decision within `mask`: (agent class, trajectory, alpha used)."""
     if strategy in _FIXED_ALPHA:
         cls, alpha = deployment_decision(strategy, fleet, trigger)
-        return cls, plan_path(belief, start, replace(plan, alpha=alpha), channels[cls]), alpha
+        return cls, plan_path(belief, start, plan, channels[cls], mask, alpha), alpha
     if strategy is StrategyKind.RANDOM:
         cls = _pick_class(fleet, AgentClass.DISPOSABLE)
         if rng is None:
             raise ParameterError("random strategy needs an rng")
-        return cls, random_walk(start, plan.horizon, belief.dims, plan.mask, rng), math.nan
+        return cls, random_walk(start, plan.horizon, belief.dims, mask, rng), math.nan
     if strategy is StrategyKind.BAPP_SIG:
         if sig is None:
             raise ParameterError("bapp-sig needs a SigPolicy")
         cls = _pick_class(fleet, AgentClass.DISPOSABLE)
-        traj, a = sig_select_path(fleet, sig, belief, start, plan, channels[cls])
+        traj, a = sig_select_path(fleet, sig, belief, start, plan, channels[cls], mask)
         return cls, traj, a
     raise ParameterError(f"unknown strategy {strategy!r}")

@@ -58,8 +58,7 @@ def reference_select_base_site(belief: BeliefMap, base: int, policy: RelocationP
             cand = dims.to_cell(r, c)
             if not reach[cand]:
                 continue
-            part = radial_partition(cand, dims, n)
-            _, score = regional_entropy(belief, cand, policy, part)
+            _, score = regional_entropy(belief, cand, policy, n)
             if best is None or score > best[0]:
                 best = (score, cand)
     return base if best is None else best[1]
@@ -68,43 +67,49 @@ def reference_select_base_site(belief: BeliefMap, base: int, policy: RelocationP
 class TestRadialPartition:
     def test_single_sector_covers_all(self):
         dims = GridDims(4, 4)
-        part = radial_partition(5, dims, 1)
-        assert np.all(part.assignment == 0)
+        sectors = radial_partition(5, dims, 1)
+        assert np.all(sectors == 0)
 
     def test_partition_covers_grid_exactly_once(self):
         dims = GridDims(6, 7)
         for n in (2, 3, 5, 8):
-            part = radial_partition(dims.to_cell(3, 3), dims, n)
-            total = sum(len(part.sector_cells(s)) for s in range(n))
+            sectors = radial_partition(dims.to_cell(3, 3), dims, n)
+            total = sum(len(np.flatnonzero(sectors == s)) for s in range(n))
             assert total == dims.n_cells
 
     def test_base_cell_in_sector_zero(self):
         dims = GridDims(5, 5)
-        part = radial_partition(12, dims, 6)
-        assert part.assignment[12] == 0
+        sectors = radial_partition(12, dims, 6)
+        assert sectors[12] == 0
 
     def test_quadrants_match_angle_computation(self):
         dims = GridDims(5, 5)
         base = dims.to_cell(2, 2)
-        part = radial_partition(base, dims, 4)
+        sectors = radial_partition(base, dims, 4)
         for cell in range(dims.n_cells):
             if cell == base:
                 continue
             r, c = dims.to_rc(cell)
             theta = math.atan2(r - 2, c - 2) % (2 * math.pi)
-            assert part.assignment[cell] == min(int(4 * theta / (2 * math.pi)), 3)
+            assert sectors[cell] == min(int(4 * theta / (2 * math.pi)), 3)
 
     def test_invalid_sector_count(self):
         with pytest.raises(ParameterError):
             radial_partition(0, GridDims(3, 3), 0)
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 6), (6, 1), (5, 7)])
+    def test_returns_read_only_array(self, rows, cols):
+        sectors = radial_partition(0, GridDims(rows, cols), 3)
+        assert isinstance(sectors, np.ndarray) and sectors.shape == (rows * cols,)
+        with pytest.raises(ValueError):
+            sectors[0] = 1
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 15])
     @pytest.mark.parametrize("rows, cols", [(1, 1), (3, 7), (10, 10), (20, 20)])
     def test_table_gather_matches_angle_formula(self, rows, cols, n):
         dims = GridDims(rows, cols)
         for base in range(dims.n_cells):
-            assert np.array_equal(radial_partition(base, dims, n).assignment,
-                                  reference_partition(base, dims, n))
+            assert np.array_equal(radial_partition(base, dims, n), reference_partition(base, dims, n))
 
 
 class TestSectorMasks:
@@ -118,13 +123,13 @@ class TestSectorMasks:
     @pytest.mark.parametrize("base", [24, 0], ids=["centre", "corner"])
     def test_wedge_plus_hub(self, base):
         dims = GridDims(7, 7)
-        part = radial_partition(base, dims, 5)
+        sectors = radial_partition(base, dims, 5)
         hub = self.box(dims, base)
         assert len(hub) == (9 if base == 24 else 4)
         masks = sector_masks(base, dims, 5)
         assert len(masks) == 5
         for s, mask in enumerate(masks):
-            assert mask == {int(c) for c in part.sector_cells(s)} | hub
+            assert mask == set(np.flatnonzero(sectors == s).tolist()) | hub
 
     def test_one_robot_is_unmasked(self):
         assert sector_masks(12, GridDims(5, 5), 1) == [None]
@@ -134,18 +139,16 @@ class TestRegionalEntropy:
     def test_uniform_scores_one(self):
         dims = GridDims(7, 7)
         belief = init_uniform(dims)
-        part = radial_partition(24, dims, 4)
         policy = RelocationPolicy(explore_radius=3.0)
-        means, score = regional_entropy(belief, 24, policy, part)
+        means, score = regional_entropy(belief, 24, policy, 4)
         assert np.allclose(means, 1.0)
         assert score == pytest.approx(1.0)
 
     def test_resolved_disc_scores_zero(self):
         dims = GridDims(7, 7)
         belief = BeliefMap(dims, np.zeros(49))
-        part = radial_partition(24, dims, 3)
         policy = RelocationPolicy(explore_radius=2.5)
-        _, score = regional_entropy(belief, 24, policy, part)
+        _, score = regional_entropy(belief, 24, policy, 3)
         assert score == 0.0
 
     def test_five_cell_mean(self):
@@ -155,18 +158,16 @@ class TestRegionalEntropy:
         probs = np.zeros(25)
         probs[[12, 7]] = 0.5
         belief = BeliefMap(dims, probs)
-        part = radial_partition(12, dims, 1)
         policy = RelocationPolicy(explore_radius=1.0)
-        means, score = regional_entropy(belief, 12, policy, part)
+        means, score = regional_entropy(belief, 12, policy, 1)
         assert score == pytest.approx(0.4)
 
     def test_empty_sector_contributes_zero(self):
         # a candidate in the corner leaves far sectors without nearby cells
         dims = GridDims(9, 9)
         belief = init_uniform(dims)
-        part = radial_partition(0, dims, 8)
         policy = RelocationPolicy(explore_radius=1.5)
-        means, score = regional_entropy(belief, 0, policy, part)
+        means, score = regional_entropy(belief, 0, policy, 8)
         assert np.any(means == 0.0)
         assert score < 1.0
 
@@ -240,8 +241,7 @@ class TestSelectBaseSite:
                 cand = dims.to_cell(r, c)
                 if belief.probs[cand] >= 0.6 or not reach[cand]:
                     continue
-                part = radial_partition(cand, dims, 1)
-                _, score = regional_entropy(belief, cand, policy, part)
+                _, score = regional_entropy(belief, cand, policy, 1)
                 if best is None or score > best[0]:
                     best = (score, cand)
         assert out == best[1]
@@ -268,10 +268,8 @@ class TestSelectBaseSite:
             belief = BeliefMap(dims, rng.uniform(0.0, 0.6, 64))
             base = int(rng.integers(64))
             out = select_base_site(belief, base, policy, 4)
-            part_old = radial_partition(base, dims, 4)
-            part_new = radial_partition(out, dims, 4)
-            _, s_old = regional_entropy(belief, base, policy, part_old)
-            _, s_new = regional_entropy(belief, out, policy, part_new)
+            _, s_old = regional_entropy(belief, base, policy, 4)
+            _, s_new = regional_entropy(belief, out, policy, 4)
             assert s_new >= s_old - 1e-12
 
 
@@ -296,8 +294,7 @@ def test_select_base_site_matches_reference_loop(case):
     belief, base, policy, n = case
     assert select_base_site(belief, base, policy, n) == reference_select_base_site(belief, base, policy, n)
     for cand, score in zip(*_site_scores(belief, base, policy, n)):
-        part = radial_partition(cand, belief.dims, n)
-        assert score == regional_entropy(belief, cand, policy, part)[1]
+        assert score == regional_entropy(belief, cand, policy, n)[1]
 
 
 def test_near_tie_relocation_matches_reference_loop(monkeypatch):

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bapp import planner
-from bapp.belief import BeliefMap, GridDims, cell_failure_prob, init_uniform, update_on_success
+from bapp.belief import BeliefMap, GridDims, cell_failure_prob, init_uniform
 from bapp.coordination import sector_masks
 from bapp.errors import ParameterError
 from bapp.info_measures import BinaryChannel, MiForm, mi_bgs
@@ -23,15 +22,14 @@ def _rank_key(state):
 
 
 def reference_plan_path(belief: BeliefMap, start: int, config: PlanConfig,
-                        channel: BinaryChannel) -> Trajectory:
+                        channel: BinaryChannel, mask=None, alpha: float = 1.0) -> Trajectory:
     """The tuple-and-bitmask beam that plan_path replaced, kept as its reference."""
     dims = belief.dims
     if not dims.contains(start):
         raise ParameterError(f"start {start} outside grid")
-    mask = config.mask
     if mask is not None and start not in mask:
         raise ParameterError(f"start {start} outside the plan mask")
-    gain = per_cell_gain(belief, channel, config.alpha, config.mi_form)
+    gain = per_cell_gain(belief, channel, alpha, config.mi_form)
     keep = 1.0 - cell_failure_prob(belief.probs, channel)
     table = tuple(neighbors(cell, dims) for cell in range(dims.n_cells))
     gain_l = gain.tolist()
@@ -156,15 +154,15 @@ class TestScorePath:
 class TestPlanPath:
     def test_uniform_tie_breaks_to_lowest_neighbor(self):
         b = init_uniform(D3)
-        cfg = PlanConfig(horizon=1, beam_width=None, alpha=1.0)
-        assert plan_path(b, 4, cfg, CH).cells == (0,)
+        cfg = PlanConfig(horizon=1, beam_width=None)
+        assert plan_path(b, 4, cfg, CH, alpha=1.0).cells == (0,)
 
     def test_seeks_informative_cell(self):
         probs = np.full(9, 0.01)
         probs[5] = 0.5
         b = BeliefMap(D3, probs)
-        cfg = PlanConfig(horizon=1, beam_width=None, alpha=1.0)
-        assert plan_path(b, 4, cfg, CH).cells == (5,)
+        cfg = PlanConfig(horizon=1, beam_width=None)
+        assert plan_path(b, 4, cfg, CH, alpha=1.0).cells == (5,)
 
     def test_unbounded_beam_matches_exhaustive(self):
         rng = np.random.default_rng(19)
@@ -177,10 +175,9 @@ class TestPlanPath:
                 mask = None
                 if k >= 5:
                     mask = frozenset(np.flatnonzero(rng.random(dims.n_cells) < 0.6).tolist()) | {start}
-                cfg = PlanConfig(horizon=horizon, beam_width=None, alpha=alpha, mi_form=form,
-                                 mask=mask)
+                cfg = PlanConfig(horizon=horizon, beam_width=None, mi_form=form)
                 want = exhaustive_plan(b, start, horizon, CH, alpha, form, mask)
-                assert plan_path(b, start, cfg, CH) == want
+                assert plan_path(b, start, cfg, CH, mask, alpha) == want
 
     def test_score_monotone_in_beam_width(self):
         rng = np.random.default_rng(21)
@@ -188,8 +185,8 @@ class TestPlanPath:
             b = BeliefMap(D3, rng.uniform(0.02, 0.98, 9))
             scores = []
             for width in (1, 2, 8, 64, None):
-                cfg = PlanConfig(horizon=3, beam_width=width, alpha=1.0)
-                t = plan_path(b, 4, cfg, CH)
+                cfg = PlanConfig(horizon=3, beam_width=width)
+                t = plan_path(b, 4, cfg, CH, alpha=1.0)
                 scores.append(score_path(b, t, CH, 1.0))
             assert all(a <= s + 1e-12 for a, s in zip(scores, scores[1:]))
             best = score_path(b, exhaustive_plan(b, 4, 3, CH, 1.0), CH, 1.0)
@@ -198,32 +195,33 @@ class TestPlanPath:
     def test_deterministic(self):
         rng = np.random.default_rng(23)
         b = BeliefMap(GridDims(5, 5), rng.uniform(0.05, 0.95, 25))
-        cfg = PlanConfig(horizon=6, beam_width=16, alpha=0.8, mi_form=MiForm.CHANNEL)
-        assert plan_path(b, 12, cfg, CH) == plan_path(b, 12, cfg, CH)
+        cfg = PlanConfig(horizon=6, beam_width=16, mi_form=MiForm.CHANNEL)
+        assert plan_path(b, 12, cfg, CH, alpha=0.8) == plan_path(b, 12, cfg, CH, alpha=0.8)
 
     def test_respects_mask_and_connectivity(self):
         rng = np.random.default_rng(29)
         dims = GridDims(5, 5)
         mask = frozenset(range(10, 20)) | {12}
         b = BeliefMap(dims, rng.uniform(0.05, 0.95, 25))
-        cfg = PlanConfig(horizon=5, beam_width=8, alpha=1.0, mask=mask)
-        t = plan_path(b, 12, cfg, CH)
+        cfg = PlanConfig(horizon=5, beam_width=8)
+        t = plan_path(b, 12, cfg, CH, mask, alpha=1.0)
         t.validate(dims, mask=mask)
 
     def test_start_outside_mask_rejected(self):
         b = init_uniform(D3)
-        cfg = PlanConfig(horizon=2, beam_width=4, alpha=1.0, mask=frozenset({0, 1}))
+        cfg = PlanConfig(horizon=2, beam_width=4)
         with pytest.raises(ParameterError):
-            plan_path(b, 4, cfg, CH)
+            plan_path(b, 4, cfg, CH, frozenset({0, 1}), alpha=1.0)
 
     @pytest.mark.parametrize("outside", [-1, 9, 99])
     def test_mask_cell_outside_grid_rejected(self, outside):
         b = init_uniform(D3)
-        cfg = PlanConfig(horizon=2, beam_width=4, alpha=1.0, mask=frozenset({4, outside}))
+        cfg = PlanConfig(horizon=2, beam_width=4)
+        mask = frozenset({4, outside})
         with pytest.raises(ParameterError):
-            plan_path(b, 4, cfg, CH)
+            plan_path(b, 4, cfg, CH, mask, alpha=1.0)
         with pytest.raises(ParameterError):
-            plan_paths(b, 4, cfg, CH, ((cfg.mask, 0.5), (None, 1.0)))
+            plan_paths(b, 4, cfg, CH, ((mask, 0.5), (None, 1.0)))
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ParameterError):
@@ -243,25 +241,24 @@ def _sweep_plans(draw):
         mask = frozenset(mask | {start})
     width = draw(st.sampled_from((1, 8, 32, None)))
     horizon = draw(st.integers(1, 4 if width is None else 15))
-    cfg = PlanConfig(horizon=horizon, beam_width=width, mi_form=draw(st.sampled_from(MiForm)),
-                     mask=mask)
+    cfg = PlanConfig(horizon=horizon, beam_width=width, mi_form=draw(st.sampled_from(MiForm)))
     alphas = draw(st.lists(st.sampled_from((0.3, 0.5, 0.8, 1.0, 1.2, 1.5, 2.0)),
                            min_size=1, max_size=5))
     channel = draw(st.sampled_from((CH, BinaryChannel(0.7, 0.1), BinaryChannel(0.5, 0.0))))
-    return BeliefMap(dims, np.array(probs)), start, cfg, alphas, channel
+    return BeliefMap(dims, np.array(probs)), start, cfg, mask, alphas, channel
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=_sweep_plans())
 def test_batched_beam_matches_reference_beam(case):
-    belief, start, cfg, alphas, channel = case
-    got = plan_paths(belief, start, cfg, channel, [(cfg.mask, a) for a in alphas])
+    belief, start, cfg, mask, alphas, channel = case
+    got = plan_paths(belief, start, cfg, channel, [(mask, a) for a in alphas])
     assert len(got) == len(alphas)
     for a, (score, cells) in zip(alphas, got):
-        ref = reference_plan_path(belief, start, replace(cfg, alpha=a), channel)
+        ref = reference_plan_path(belief, start, cfg, channel, mask, a)
         assert cells == ref.cells
         assert score == score_path(belief, ref, channel, a, cfg.mi_form)
-    assert plan_path(belief, start, replace(cfg, alpha=alphas[0]), channel).cells == got[0][1]
+    assert plan_path(belief, start, cfg, channel, mask, alphas[0]).cells == got[0][1]
 
 
 @st.composite
@@ -333,7 +330,7 @@ def test_thin_groups_beside_wide_groups_match_reference_beam(case):
     belief, start, cfg, groups, channel = case
     got = plan_paths(belief, start, cfg, channel, groups)
     for (mask, a), (score, cells) in zip(groups, got):
-        ref = reference_plan_path(belief, start, replace(cfg, mask=mask, alpha=a), channel)
+        ref = reference_plan_path(belief, start, cfg, channel, mask, a)
         assert cells == ref.cells
         assert score == score_path(belief, ref, channel, a, cfg.mi_form)
         if mask is not None:
@@ -361,48 +358,9 @@ def test_sector_round_matches_reference_beam(case):
     belief, base, cfg, groups, channel = case
     got = plan_paths(belief, base, cfg, channel, groups)
     for (mask, a), (score, cells) in zip(groups, got):
-        ref = reference_plan_path(belief, base, replace(cfg, mask=mask, alpha=a), channel)
+        ref = reference_plan_path(belief, base, cfg, channel, mask, a)
         assert cells == ref.cells
         assert score == score_path(belief, ref, channel, a, cfg.mi_form)
-
-
-class TestRoundGainMemo:
-    @staticmethod
-    def belief(seed):
-        return BeliefMap(GridDims(5, 5), np.random.default_rng(seed).uniform(0.05, 0.95, 25))
-
-    def test_cached_arrays_are_read_only(self):
-        b = self.belief(31)
-        plan_paths(b, 12, PlanConfig(horizon=3, beam_width=8), CH, ((None, 0.8), (None, 1.0)))
-        for arr in (planner._round_gains(b, CH, (0.8, 1.0), MiForm.POSTERIOR),
-                    planner._round_keep(b, CH)):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
-
-    def test_updated_belief_is_not_a_stale_hit(self):
-        b1 = self.belief(37)
-        cfg = PlanConfig(horizon=3, beam_width=8, mi_form=MiForm.CHANNEL)
-        plan_paths(b1, 12, cfg, CH, ((None, 0.8), (None, 1.0)))
-        b2 = update_on_success(b1, (6, 7, 12), CH)
-        plan_paths(b2, 12, cfg, CH, ((None, 0.8), (None, 1.0)))
-        for row, a in enumerate((0.8, 1.0)):
-            fresh = per_cell_gain(b2, CH, a, cfg.mi_form)
-            assert np.array_equal(planner._round_gains(b2, CH, (0.8, 1.0), cfg.mi_form)[row], fresh)
-            assert not np.array_equal(planner._round_gains(b1, CH, (0.8, 1.0), cfg.mi_form)[row], fresh)
-        assert np.array_equal(planner._round_keep(b2, CH), 1.0 - cell_failure_prob(b2.probs, CH))
-
-    def test_warm_cache_plans_equal_cold(self):
-        b = self.belief(41)
-        cfg = PlanConfig(horizon=5, beam_width=16, mask=frozenset(range(5, 20)))
-        groups = [(cfg.mask, a) for a in (0.6, 0.8, 1.0, 1.2)]
-        planner._round_gains.cache_clear()
-        planner._round_keep.cache_clear()
-        cold = plan_paths(b, 12, cfg, CH, groups)
-        hits = planner._round_gains.cache_info().hits
-        warm = plan_paths(b, 12, cfg, CH, groups)
-        assert planner._round_gains.cache_info().hits == hits + 1
-        assert warm == cold
 
 
 class TestRandomWalk:

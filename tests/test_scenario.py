@@ -2,7 +2,7 @@
 
 Bad files and flags must fail there with a ScenarioError, which the CLI
 turns into one stderr line and exit code 2 before any trial runs or any
-CSV is written; bad theory-sweep flags fail the same way.
+CSV is written; bad theory-sweep and oracle-check flags fail the same way.
 """
 
 from pathlib import Path
@@ -100,3 +100,16 @@ def test_bad_theory_sweep_flag_exits_2(tmp_path, capsys, flags):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
     assert not (out / "theory_sweep.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    pytest.param(["--seed", "-1"], id="seed-negative"),
+    pytest.param(["--plans", "-3"], id="plans-negative"),
+    pytest.param(["--plans", "0"], id="plans-0"),
+])
+def test_bad_oracle_check_flag_exits_2_before_any_check(capsys, flags):
+    assert main(["oracle-check", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

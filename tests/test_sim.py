@@ -23,10 +23,10 @@ D10 = GridDims(10, 10)
 
 def small_config(**kw):
     defaults = dict(
-        dims=GridDims(6, 6), lethality=0.7, hazard_density=0.1, team_size=1, horizon=5,
+        dims=GridDims(6, 6), lethality=0.7, hazard_density=0.1, team_size=1,
         deployment_budget=8, strategy=StrategyKind.STD_ITP, master_seed=99,
-        disposable=AgentSpec(AgentClass.DISPOSABLE, 0.10, 10),
-        high_fidelity=AgentSpec(AgentClass.HIGH_FIDELITY, 0.01, 3),
+        disposable=AgentSpec(0.10, 10),
+        high_fidelity=AgentSpec(0.01, 3),
         plan=PlanConfig(horizon=5, beam_width=8, mi_form=MiForm.CHANNEL),
     )
     defaults.update(kw)
@@ -104,10 +104,29 @@ class TestSeedStream:
             seed_stream(5, -1)
 
 
+class TestMissionInputs:
+    def test_horizon_is_the_plans(self):
+        assert MissionConfig(dims=D10, plan=PlanConfig(horizon=7)).horizon == 7
+        assert MissionConfig(dims=D10).horizon == PlanConfig().horizon
+
+    def test_removed_fields_raise_type_error(self):
+        with pytest.raises(TypeError):
+            MissionConfig(dims=D10, horizon=7)
+        with pytest.raises(TypeError):
+            AgentSpec(AgentClass.DISPOSABLE, 0.10, 1)
+        for removed in ({"alpha": 0.8}, {"mask": frozenset({0})}):
+            with pytest.raises(TypeError):
+                PlanConfig(**removed)
+
+    def test_team_size_below_one_rejected(self):
+        with pytest.raises(ScenarioError, match="^team size must be >= 1$"):
+            MissionConfig(dims=D10, team_size=0)
+
+
 class TestExecuteDeployment:
     def test_safe_world_zero_malfunction_always_returns(self):
         truth = generate_world(D10, 0.0, 0.7, seed_stream(1, 0))
-        agent = AgentSpec(AgentClass.DISPOSABLE, 0.0, 1)
+        agent = AgentSpec(0.0, 1)
         path = Trajectory(start=55, cells=(44, 33, 22, 11, 0))
         for seed in range(20):
             theta, step = execute_deployment(truth, path, agent, seed_stream(seed, 2))
@@ -120,14 +139,14 @@ class TestExecuteDeployment:
         truth_lethality = np.where(hazards == 1, 1.0, 0.0)
         from bapp.belief import GroundTruthMap
         truth = GroundTruthMap(dims, hazards, truth_lethality)
-        agent = AgentSpec(AgentClass.DISPOSABLE, 0.0, 1)
+        agent = AgentSpec(0.0, 1)
         path = Trajectory(start=4, cells=(0, 1, 2))
         theta, step = execute_deployment(truth, path, agent, seed_stream(0, 2))
         assert (theta, step) == (1, 1)
 
     def test_malfunction_rate_matches_closed_form(self):
         truth = generate_world(GridDims(4, 4), 0.0, 0.7, seed_stream(1, 0))
-        agent = AgentSpec(AgentClass.DISPOSABLE, 0.10, 1)
+        agent = AgentSpec(0.10, 1)
         path = Trajectory(start=5, cells=(0, 1, 2, 3, 7, 11, 15, 14, 13, 12, 8, 4, 5, 6, 10))
         n = 40000
         rng = seed_stream(123, 2)
@@ -144,7 +163,7 @@ class TestRunTrial:
 
     def test_entropy_bounded_and_stock_conserved(self):
         tm = run_trial(small_config(deployment_budget=20,
-                                    disposable=AgentSpec(AgentClass.DISPOSABLE, 0.10, 25)), 1)
+                                    disposable=AgentSpec(0.10, 25)), 1)
         assert all(0.0 <= h <= 1.0 for h in tm.entropy_series)
         assert tm.loss_series[-1] + tm.surviving_stock == tm.initial_stock
         for rec, losses in zip(tm.records, np.maximum.accumulate([r.cum_losses for r in tm.records])):
@@ -160,8 +179,8 @@ class TestRunTrial:
 
     def test_fleet_exhaustion_stops_early(self):
         cfg = small_config(deployment_budget=30,
-                           disposable=AgentSpec(AgentClass.DISPOSABLE, 0.10, 2),
-                           high_fidelity=AgentSpec(AgentClass.HIGH_FIDELITY, 0.01, 0))
+                           disposable=AgentSpec(0.10, 2),
+                           high_fidelity=AgentSpec(0.01, 0))
         tm = run_trial(cfg, 0)
         assert tm.rounds_executed < 30
         assert tm.loss_series[-1] <= 2
@@ -180,8 +199,8 @@ class TestRunTrial:
 
     def test_multi_robot_round_structure(self):
         cfg = small_config(team_size=3, deployment_budget=4, strategy=StrategyKind.BAPP_TID,
-                           disposable=AgentSpec(AgentClass.DISPOSABLE, 0.10, 12),
-                           high_fidelity=AgentSpec(AgentClass.HIGH_FIDELITY, 0.01, 4),
+                           disposable=AgentSpec(0.10, 12),
+                           high_fidelity=AgentSpec(0.01, 4),
                            trigger=TriggerPolicy(phase_switch=2))
         tm = run_trial(cfg, 0)
         rounds = [r.round_index for r in tm.records]
@@ -194,8 +213,8 @@ class TestRunTrial:
     def test_fleet_runs_out_mid_round(self):
         # the one robot is lost in sector 0, so sector 1 finds the fleet empty
         cfg = small_config(team_size=3, deployment_budget=4,
-                           disposable=AgentSpec(AgentClass.DISPOSABLE, 0.99, 1),
-                           high_fidelity=AgentSpec(AgentClass.HIGH_FIDELITY, 0.01, 0))
+                           disposable=AgentSpec(0.99, 1),
+                           high_fidelity=AgentSpec(0.01, 0))
         tm = run_trial(cfg, 0)
         assert [(r.round_index, r.sector, r.theta) for r in tm.records] == [(1, 0, 1)]
         assert tm.rounds_executed == 1
@@ -207,16 +226,16 @@ class TestRunTrial:
     def test_paths_respect_sector_masks(self):
         from bapp.coordination import radial_partition
         cfg = small_config(team_size=4, deployment_budget=3,
-                           disposable=AgentSpec(AgentClass.DISPOSABLE, 0.10, 16))
+                           disposable=AgentSpec(0.10, 16))
         tm = run_trial(cfg, 2)
         start = cfg.start_cell
-        part = radial_partition(start, cfg.dims, 4)
+        sectors = radial_partition(start, cfg.dims, 4)
         br, bc = cfg.dims.to_rc(start)
         hub = {cfg.dims.to_cell(r, c)
                for r in range(max(0, br - 1), min(cfg.dims.rows, br + 2))
                for c in range(max(0, bc - 1), min(cfg.dims.cols, bc + 2))}
         for rec in tm.records:
-            allowed = set(int(c) for c in part.sector_cells(rec.sector)) | hub
+            allowed = set(np.flatnonzero(sectors == rec.sector).tolist()) | hub
             assert set(rec.trajectory.cells) <= allowed
 
     def test_sector_masks_built_once_per_base(self, monkeypatch):
@@ -237,7 +256,7 @@ class TestRunTrial:
         # a relocating base gets new masks each time it moves, and only then
         calls.clear()
         tm = run_trial(small_config(team_size=2, deployment_budget=8, relocate=True,
-                                    disposable=AgentSpec(AgentClass.DISPOSABLE, 0.10, 16),
+                                    disposable=AgentSpec(0.10, 16),
                                     relocation=RelocationPolicy(explore_radius=3.0, search_radius=2.0)),
                        0)
         moves = [b for i, b in enumerate(tm.base_track) if i == 0 or b != tm.base_track[i - 1]]
@@ -247,7 +266,7 @@ class TestRunTrial:
     def test_relocation_tracks_base(self):
         from bapp.coordination import RelocationPolicy
         cfg = small_config(team_size=2, deployment_budget=6, relocate=True,
-                           disposable=AgentSpec(AgentClass.DISPOSABLE, 0.10, 12),
+                           disposable=AgentSpec(0.10, 12),
                            relocation=RelocationPolicy(explore_radius=3.0, search_radius=2.0,
                                                        safety_threshold=0.6, cadence=2))
         tm = run_trial(cfg, 0)
@@ -288,7 +307,7 @@ class TestBatchedRound:
         # lost, so their stock runs out inside a round: later sectors switch to
         # disposables at alpha_explore and must be planned again alone
         cfg = small_config(team_size=4, deployment_budget=5, strategy=StrategyKind.BAPP_TID,
-                           high_fidelity=AgentSpec(AgentClass.HIGH_FIDELITY, 0.95, 3),
+                           high_fidelity=AgentSpec(0.95, 3),
                            trigger=TriggerPolicy(theta_early=1.0, phase_switch=10))
         for trial in range(3):
             got, want, misses = _batched_and_per_sector(monkeypatch, cfg, trial)
@@ -300,8 +319,8 @@ class TestBatchedRound:
 
     def test_std_disposables_run_out_mid_round(self, monkeypatch):
         cfg = small_config(team_size=3, deployment_budget=6,
-                           disposable=AgentSpec(AgentClass.DISPOSABLE, 0.9, 4),
-                           high_fidelity=AgentSpec(AgentClass.HIGH_FIDELITY, 0.01, 4))
+                           disposable=AgentSpec(0.9, 4),
+                           high_fidelity=AgentSpec(0.01, 4))
         got, want, misses = _batched_and_per_sector(monkeypatch, cfg, 0)
         _assert_same_trial(got, want)
         assert misses > 0
@@ -317,7 +336,7 @@ class TestBatchedRound:
 
     def test_sig_team_plans_each_sector_at_its_turn(self, monkeypatch):
         cfg = small_config(team_size=3, deployment_budget=4, strategy=StrategyKind.BAPP_SIG,
-                           disposable=AgentSpec(AgentClass.DISPOSABLE, 0.3, 12))
+                           disposable=AgentSpec(0.3, 12))
         got, want, alone = _batched_and_per_sector(monkeypatch, cfg, 1)
         _assert_same_trial(got, want)
         assert alone == len(got.records)
@@ -389,6 +408,7 @@ class TestOutputFormats:
         data = json.loads(path.read_text())
         entry = data["std-itp"]
         assert entry["trials"] == 2
+        assert entry["horizon"] == res.config.plan.horizon == 5
         assert len(entry["entropy_mean"]) == 5
         assert set(entry["deployments_to_half"]) == {"per_trial", "mean_reached", "unreached", "capped_mean"}
 

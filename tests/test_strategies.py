@@ -68,9 +68,8 @@ class TestSigSelectPath:
         plan = PlanConfig(horizon=4, beam_width=8, mi_form=MiForm.CHANNEL)
         pol = SigPolicy(alpha_min=0.7, alpha_max=0.7, sweep_halfwidth=0.0)
         traj, alpha = sig_select_path(fleet(0), pol, b, 5, plan, CH)
-        from dataclasses import replace
         assert alpha == 0.7
-        assert traj == plan_path(b, 5, replace(plan, alpha=0.7), CH)
+        assert traj == plan_path(b, 5, plan, CH, alpha=0.7)
 
     def test_tie_goes_to_smaller_alpha(self):
         # fully resolved map: every sweep candidate scores 0
@@ -82,7 +81,6 @@ class TestSigSelectPath:
 
     def test_returned_score_is_sweep_max(self):
         # the per-alpha loop the batched sweep replaced: ties go to the smaller alpha
-        from dataclasses import replace
         rng = np.random.default_rng(11)
         plan = PlanConfig(horizon=5, beam_width=16, mi_form=MiForm.CHANNEL)
         pol = SigPolicy(alpha_min=0.5, alpha_max=1.5, sweep_halfwidth=0.2, sweep_step=0.1)
@@ -92,7 +90,7 @@ class TestSigSelectPath:
             traj, alpha = sig_select_path(f, pol, b, 12, plan, CH)
             best = None
             for a in sig_sweep_grid(sig_alpha(f, pol), pol):
-                t = plan_path(b, 12, replace(plan, alpha=a), CH)
+                t = plan_path(b, 12, plan, CH, alpha=a)
                 s = score_path(b, t, CH, a, plan.mi_form)
                 if best is None or s > best[0]:
                     best = (s, a, t)
