@@ -12,13 +12,15 @@ somewhere along its path).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import InconsistentObservationError, ParameterError
-from .info_measures import BinaryChannel, binary_entropy
+from .info_measures import BinaryChannel, _binary_h
 
 __all__ = [
     "GridDims",
@@ -72,14 +74,30 @@ class BeliefMap:
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
 
-    def _adopt(self, probs: np.ndarray) -> "BeliefMap":
+    @cached_property
+    def _entropy_bits(self) -> np.ndarray:
+        """Read-only binary entropy of each cell in bits, computed on first use."""
+        h = _binary_h(self.probs) / math.log(2.0)
+        h.flags.writeable = False
+        return h
+
+    def _adopt(self, probs: np.ndarray, cells: np.ndarray) -> "BeliefMap":
         """A belief on this grid over `probs`, which the caller built as a
         float array in [0, 1] of the grid's length and hands over: the
-        updates own such an array, so it is neither checked nor copied."""
+        updates own such an array, so it is neither checked nor copied.
+        `probs` differs from this belief's only at `cells`; if this belief
+        holds its per-cell entropy, the new one gets a copy recomputed at
+        those cells alone, which is elementwise the same as a full pass."""
         probs.flags.writeable = False
         out = object.__new__(BeliefMap)
         object.__setattr__(out, "dims", self.dims)
         object.__setattr__(out, "probs", probs)
+        h = self.__dict__.get("_entropy_bits")
+        if h is not None:
+            h = h.copy()
+            h[cells] = _binary_h(probs[cells]) / math.log(2.0)
+            h.flags.writeable = False
+            out.__dict__["_entropy_bits"] = h
         return out
 
 
@@ -144,7 +162,7 @@ def update_on_success(belief: BeliefMap, path_cells: Sequence[int], channel: Bin
     if np.any(den <= 0.0):
         raise InconsistentObservationError("a safe return was impossible under this belief")
     probs[cells] = num / den
-    return belief._adopt(probs)
+    return belief._adopt(probs, cells)
 
 
 def update_on_failure(belief: BeliefMap, path_cells: Sequence[int], channel: BinaryChannel) -> BeliefMap:
@@ -180,10 +198,11 @@ def update_on_failure(belief: BeliefMap, path_cells: Sequence[int], channel: Bin
             others[zero] = nonzero_prod
     cond_fail = 1.0 - (1.0 - lam) * others
     probs[cells] = np.clip(p * cond_fail / p_fail, 0.0, 1.0)
-    return belief._adopt(probs)
+    return belief._adopt(probs, cells)
 
 
 def global_entropy(belief: BeliefMap) -> float:
     """Mean per-cell binary entropy in bits; 1.0 for a uniform map."""
-    return float(np.mean(binary_entropy(belief.probs, base=2.0)))
+    h = belief._entropy_bits
+    return float(np.add.reduce(h) / h.size)  # np.mean's sum and divide, without its overhead
 

@@ -50,6 +50,8 @@ def _cmd_simulate(args) -> int:
         trials = args.trials
     if trials < 1:
         raise ScenarioError(f"trials must be >= 1, got {trials}")
+    if args.workers < 1:
+        raise ScenarioError(f"workers must be >= 1, got {args.workers}")
     os.makedirs(args.out, exist_ok=True)
     result = run_experiment(config, trials, workers=args.workers)
     write_deployments_csv(os.path.join(args.out, "deployments.csv"), [result])

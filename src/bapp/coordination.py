@@ -174,31 +174,41 @@ def _site_scores(belief: BeliefMap, base: int, policy: RelocationPolicy,
     cands = cands[reach[cands]]
     if cands.size == 0:
         return [], []
-    ent = binary_entropy(belief.probs, base=2.0)
+    ent = belief._entropy_bits
     sectors, dist2 = _offset_tables(dims, n)
-    # flat index of each (candidate, cell) offset into the tables
-    width = 2 * dims.cols - 1
-    cells = np.arange(dims.n_cells)
-    flat_rc = (cells // dims.cols) * width + cells % dims.cols
-    off = flat_rc[None, :] - flat_rc[cands][:, None] + (dims.rows - 1) * width + dims.cols - 1
-    # sector of each cell, or n for the cells outside the candidate's disc;
-    # a stable sort keeps each sector's cells in ascending order, so every
-    # sector mean adds the same values in the same order as ndarray.mean in
-    # regional_entropy. Summing in any other order (bincount, reduceat,
-    # padded rows) moves near-tied scores by an ulp and changes the site.
-    key = np.where(dist2.ravel()[off] <= policy.explore_radius ** 2, sectors.ravel()[off], n)
+    # sector of each offset, or n outside the disc, in the smallest unsigned
+    # type that holds n, for which the stable sort is a radix sort. It keeps
+    # each sector's cells in ascending order, so every sector mean adds the
+    # same values in the same order as ndarray.mean in regional_entropy.
+    # Summing in any other order (bincount, reduceat, rows padded with
+    # zeros) moves near-tied scores by an ulp and changes the site.
+    table = np.where(dist2 <= policy.explore_radius ** 2, sectors, n).astype(np.min_scalar_type(n))
+    # each candidate's key row is its _window of the table, read as one gather
+    windows = np.lib.stride_tricks.sliding_window_view(table, (dims.rows, dims.cols))
+    cand_r, cand_c = np.divmod(cands, dims.cols)
+    key = windows[dims.rows - 1 - cand_r, dims.cols - 1 - cand_c].reshape(len(cands), -1)
     vals = ent[np.argsort(key, axis=1, kind="stable")].ravel()  # the sorted rows, end to end
     group = (key + (n + 1) * np.arange(len(cands))[:, None]).ravel()
     counts = np.bincount(group, minlength=len(cands) * (n + 1)).reshape(len(cands), n + 1)[:, :n]
-    # bounds of each non-empty (candidate, sector) run in the flattened rows
-    ends = np.cumsum(counts, axis=1) + dims.n_cells * np.arange(len(cands))[:, None]
+    # start and length of each non-empty (candidate, sector) run in `vals`
+    starts = np.cumsum(counts, axis=1) - counts + dims.n_cells * np.arange(len(cands))[:, None]
     filled = counts > 0
-    sums = np.zeros(counts.shape)
-    sums[filled] = [np.add.reduce(vals[lo:hi]) for lo, hi in
-                    zip((ends - counts)[filled].tolist(), ends[filled].tolist())]
-    means = np.divide(sums, counts, out=np.zeros(counts.shape), where=filled)
-    scores = [float(np.add.reduce(row) / n) for row in means]
-    return cands.tolist(), scores
+    starts, lens = starts[filled], counts[filled]
+    # the runs of one length L, gathered as the rows of a C-contiguous
+    # (k, L) matrix, are each summed by the same pairwise reduce as a 1-D
+    # run of L values, bit for bit; the runs are taken in length order
+    by_len = np.argsort(lens, kind="stable")
+    per_len = np.bincount(lens)
+    ends = np.cumsum(per_len).tolist()
+    starts = starts[by_len]
+    sums = np.empty(lens.size)
+    sums[by_len] = np.concatenate([
+        np.add.reduce(vals[starts[ends[length - 1]:ends[length], None] + np.arange(length)], axis=1)
+        for length in np.flatnonzero(per_len).tolist()])
+    means = np.zeros(counts.shape)
+    means[filled] = sums / lens
+    scores = np.add.reduce(means, axis=1) / n
+    return cands.tolist(), scores.tolist()
 
 
 def select_base_site(belief: BeliefMap, base: int, policy: RelocationPolicy, n: int) -> int:

@@ -84,11 +84,18 @@ def _run_trial_star(args) -> TrialMetrics:
 
 
 def run_experiment(config: MissionConfig, trials: int, workers: int = 1) -> ExperimentResult:
-    """Run seeded trials (optionally across processes) in deterministic order."""
+    """Run seeded trials (optionally across processes) in deterministic order.
+
+    At most min(workers, trials, CPU count) processes are started, since
+    the executor may start all of its workers at the first submit.
+    """
     if trials < 1:
         raise ParameterError("need at least one trial")
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, trials, os.cpu_count() or 1)
     jobs = [(config, t) for t in range(trials)]
-    if workers <= 1:
+    if workers == 1:
         metrics = [_run_trial_star(j) for j in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

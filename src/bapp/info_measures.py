@@ -151,8 +151,7 @@ def _prelec(p, alpha, beta):
     p = np.asarray(p, dtype=float)
     out = np.zeros(np.broadcast_shapes(p.shape, np.shape(alpha), np.shape(beta)))
     inner = (p > 0.0) & (p < 1.0)
-    with np.errstate(divide="ignore"):
-        neglog = np.where(p > 0.0, -np.log(np.where(p > 0.0, p, 1.0)), np.inf)
+    neglog = np.where(p > 0.0, -np.log(np.where(p > 0.0, p, 1.0)), np.inf)
     out = np.where(
         inner,
         np.exp(-np.asarray(beta, dtype=float)
@@ -173,8 +172,7 @@ def prelec_weight(p, params: BehaviorParams):
 def _xlogx(x):
     """x * ln(x) with the 0 * ln(0) = 0 convention."""
     x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(x > 0.0, x * np.log(np.where(x > 0.0, x, 1.0)), 0.0)
+    return np.where(x > 0.0, x * np.log(np.where(x > 0.0, x, 1.0)), 0.0)
 
 
 def _validate_distribution(probs) -> np.ndarray:

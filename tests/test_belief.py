@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bapp.belief import (BeliefMap, GridDims, cell_failure_prob, global_entropy, init_uniform,
                          update_on_failure, update_on_success)
 from bapp.errors import InconsistentObservationError, ParameterError
-from bapp.info_measures import BinaryChannel
+from bapp.info_measures import BinaryChannel, binary_entropy
 from bapp.oracles import (joint_posterior, martingale_gap, outcome_probability,
                           posterior_by_enumeration)
 
@@ -207,6 +209,40 @@ class TestGlobalEntropy:
         h2 = global_entropy(BeliefMap(dims, rng.permutation(probs)))
         assert h1 == pytest.approx(h2, abs=1e-12)
 
+
+# tpr = 1 sends a safe return's cells to exactly 0, fpr = 0 a one-cell loss's to 1
+_CHANNELS = (CH, BinaryChannel(1.0, 0.1), BinaryChannel(0.7, 0.0), BinaryChannel(1.0, 0.0),
+             BinaryChannel(0.5, 0.5))
+
+
+@st.composite
+def _update_runs(draw):
+    dims = GridDims(draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    probs = draw(st.lists(st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 1.0),
+                          min_size=dims.n_cells, max_size=dims.n_cells))
+    cell = st.integers(0, dims.n_cells - 1)
+    steps = draw(st.lists(st.tuples(st.booleans(), st.lists(cell, min_size=1, max_size=6),
+                                    st.sampled_from(_CHANNELS), st.booleans()),
+                          min_size=1, max_size=12))
+    return BeliefMap(dims, np.array(probs)), steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=_update_runs())
+def test_carried_entropy_matches_a_fresh_pass(run):
+    # each update patches its parent's per-cell entropy at the path cells
+    # once the parent has been read; until then it is left to be computed
+    belief, steps = run
+    for lost, cells, channel, read in steps:
+        try:
+            belief = (update_on_failure if lost else update_on_success)(belief, cells, channel)
+        except InconsistentObservationError:
+            continue
+        if read:
+            fresh = binary_entropy(belief.probs, base=2.0)
+            assert np.array_equal(belief._entropy_bits, fresh)
+            assert global_entropy(belief) == float(np.mean(fresh))
+    assert not belief._entropy_bits.flags.writeable
 
 
 class TestJointPosterior:

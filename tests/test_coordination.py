@@ -284,7 +284,7 @@ def _relocations(draw):
     policy = RelocationPolicy(explore_radius=draw(st.sampled_from((1.5, 8.0, 16.0, 36.0))),
                               search_radius=draw(st.sampled_from((1.0, 4.0))))
     base = draw(st.integers(0, dims.n_cells - 1))
-    n = draw(st.sampled_from((1, 2, 3, 5, 7, 15)))
+    n = draw(st.sampled_from((1, 2, 3, 5, 7, 15, 300)))  # 300: a sort key wider than uint8
     return BeliefMap(dims, probs), base, policy, n
 
 
@@ -295,6 +295,19 @@ def test_select_base_site_matches_reference_loop(case):
     assert select_base_site(belief, base, policy, n) == reference_select_base_site(belief, base, policy, n)
     for cand, score in zip(*_site_scores(belief, base, policy, n)):
         assert score == regional_entropy(belief, cand, policy, n)[1]
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 50, 400])
+def test_row_reduce_equals_one_dimensional_reduce(k):
+    # _site_scores sums every run of one length L as a row of a C-contiguous
+    # (k, L) matrix; it matches ndarray.mean only if each row is added in
+    # the order of a 1-D reduce. L runs past the 8-way unroll and the
+    # 128-element blocks of numpy's pairwise sum.
+    rng = np.random.default_rng(k)
+    for length in range(1, 301):
+        m = rng.uniform(0.0, 1.0, (k, length)) * 10.0 ** rng.uniform(-6.0, 0.0, (k, length))
+        rows = np.add.reduce(m, axis=1)
+        assert np.array_equal(rows, [np.add.reduce(row) for row in m]), length
 
 
 def test_near_tie_relocation_matches_reference_loop(monkeypatch):

@@ -11,6 +11,7 @@ from bapp.info_measures import (AlphaSearchResult, BehaviorParams, BinaryChannel
                                 behavioral_entropy, binary_behavioral_entropy, binary_entropy,
                                 delta_mi, find_informative_alpha, mi_behavioral, mi_bgs,
                                 prelec_weight, shannon_entropy)
+from bapp.info_measures import _binary_h
 
 
 def mi_joint_oracle(p, lam, gam):
@@ -319,3 +320,16 @@ def test_bad_probabilities_rejected_with_their_message(bad, problem, shape):
     with pytest.raises(ParameterError) as exc:
         BeliefMap(GridDims(2, 2), probs)
     assert str(exc.value) == "belief probabilities must lie in [0, 1]"
+
+
+def test_binary_h_of_gathered_cells_equals_the_full_pass():
+    # a belief update recomputes the per-cell entropy of its path cells
+    # alone and must get the bits a pass over the whole grid gives there
+    rng = np.random.default_rng(31)
+    p = rng.uniform(0.0, 1.0, 400) * 10.0 ** rng.integers(-12, 1, 400)
+    p[:4] = (0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53)
+    p[4:8] = 1.0 - p[8:12]
+    full = _binary_h(p)
+    for size in range(1, 70):
+        cells = np.union1d(rng.choice(400, size, replace=False), rng.choice(8, min(size, 3)))
+        assert np.array_equal(_binary_h(p[cells]), full[cells])

@@ -35,6 +35,8 @@ def test_shipped_files_match_builtins():
 @pytest.mark.parametrize("extra_lines, extra_args", [
     pytest.param("", ["--trials", "0"], id="flag-trials-0"),
     pytest.param("", ["--seed", "-1"], id="flag-seed-negative"),
+    pytest.param("", ["--workers", "0"], id="flag-workers-0"),
+    pytest.param("", ["--workers", "-5"], id="flag-workers-negative"),
     pytest.param("hazard_density = 1.0", [], id="hazard-density-1"),
     pytest.param("hazard_density = inf", [], id="hazard-density-inf"),
     pytest.param("disposable_stock = 0\nhighfid_stock = 0", [], id="empty-fleet"),

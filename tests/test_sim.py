@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bapp import planner, sim, strategies
+from bapp import experiment, planner, sim, strategies
 from bapp.belief import GridDims
 from bapp.errors import ParameterError, ScenarioError
 from bapp.experiment import (fmt9, run_experiment, theory_sweep, write_deployments_csv,
@@ -369,6 +369,42 @@ class TestRunExperiment:
             write_deployments_csv(str(path), [res])
             files.append(path.read_bytes())
         assert files[0] == files[1]
+
+    @pytest.mark.parametrize("workers, trials, cpus, pool_size", [
+        (100_000, 3, 8, 3),
+        (100_000, 5, 2, 2),
+        (4, 6, 8, 4),
+        (8, 3, None, None),  # an unknown CPU count runs in-process
+        (1, 3, 8, None),
+    ])
+    def test_worker_pool_is_capped(self, monkeypatch, workers, trials, cpus, pool_size):
+        sizes = []
+
+        class RecordingPool:
+            """Records the pool size asked for and maps in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
+        res = run_experiment(small_config(deployment_budget=2), trials=trials, workers=workers)
+        assert len(res.trials) == trials
+        assert sizes == ([] if pool_size is None else [pool_size])
+
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ParameterError, match="workers"):
+            run_experiment(small_config(deployment_budget=2), trials=2, workers=workers)
 
     def test_capped_metric(self):
         cfg = small_config(deployment_budget=5)
