@@ -77,6 +77,12 @@ def _cmd_theory_sweep(args) -> int:
     return 0
 
 
+def _verdict(passed: bool, line: str) -> bool:
+    """Print one PASS/FAIL line of oracle-check and return `passed`."""
+    print(f"{'PASS' if passed else 'FAIL'} {line}")
+    return passed
+
+
 def _cmd_oracle_check(args) -> int:
     """Spot-check the closed-form updates and the beam search against enumeration."""
     if args.seed < 0:
@@ -86,7 +92,6 @@ def _cmd_oracle_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     dims = GridDims(3, 3)
     channels = [BinaryChannel(0.7, 0.1), BinaryChannel(0.9, 0.1)]
-    ok = True
 
     worst_update = 0.0
     worst_martingale = 0.0
@@ -105,18 +110,10 @@ def _cmd_oracle_check(args) -> int:
                 float(np.max(np.abs(fail - posterior_by_enumeration(priors, channel, 1)))),
             )
             worst_martingale = max(worst_martingale, martingale_gap(priors, channel))
-    line = f"belief updates vs enumeration: max |diff| = {worst_update:.3e}"
-    if worst_update < 1e-10:
-        print(f"PASS {line}")
-    else:
-        print(f"FAIL {line}")
-        ok = False
-    line = f"martingale property: max |gap| = {worst_martingale:.3e}"
-    if worst_martingale < 1e-10:
-        print(f"PASS {line}")
-    else:
-        print(f"FAIL {line}")
-        ok = False
+    ok = _verdict(worst_update < 1e-10,
+                  f"belief updates vs enumeration: max |diff| = {worst_update:.3e}")
+    ok &= _verdict(worst_martingale < 1e-10,
+                   f"martingale property: max |gap| = {worst_martingale:.3e}")
 
     mismatches = 0
     for k in range(args.plans):
@@ -125,12 +122,8 @@ def _cmd_oracle_check(args) -> int:
         want = exhaustive_plan(belief, 4, 3, channels[0], 1.0)
         if got != want:
             mismatches += 1
-    line = f"unbounded beam vs exhaustive search: {mismatches}/{args.plans} mismatches"
-    if mismatches == 0:
-        print(f"PASS {line}")
-    else:
-        print(f"FAIL {line}")
-        ok = False
+    ok &= _verdict(mismatches == 0,
+                   f"unbounded beam vs exhaustive search: {mismatches}/{args.plans} mismatches")
 
     # the belief is exact per deployment, not across them: report how far it
     # drifts from the joint posterior over a tiny mission (not a pass/fail)

@@ -93,18 +93,18 @@ def radial_partition(base: int, dims: GridDims, n: int) -> np.ndarray:
     return sectors
 
 
-def sector_masks(base: int, dims: GridDims, n: int) -> list:
-    """Planner mask of each of n robots; [None] (no mask) for one robot.
+def sector_masks(base: int, dims: GridDims, n: int) -> np.ndarray:
+    """Plan mask of each of n robots, as the rows of a read-only (n, n_cells) bool array.
 
-    A robot's mask is its sector of the radial partition plus the hub.
+    A robot's mask is its sector of the radial partition plus the hub; the
+    one sector of a single robot is the whole grid.
     """
-    if n == 1:
-        return [None]
-    sectors = radial_partition(base, dims, n)
+    masks = radial_partition(base, dims, n) == np.arange(n)[:, None]
     # thin angular wedges need not touch the base under 9-connectivity,
     # so every robot may cross the 3x3 hub around the base on its way out
-    hub = frozenset(neighbors(base, dims))
-    return [frozenset(np.flatnonzero(sectors == s).tolist()) | hub for s in range(n)]
+    masks[:, list(neighbors(base, dims))] = True
+    masks.setflags(write=False)
+    return masks
 
 
 def regional_entropy(belief: BeliefMap, candidate: int, policy: RelocationPolicy,

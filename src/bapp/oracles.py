@@ -1,7 +1,9 @@
 """Brute-force reference implementations for correctness checks.
 
 These recompute the belief updates and the trajectory search by exhaustive
-enumeration, sharing no logic with the closed-form code paths they verify.
+enumeration. They share no logic with the code they check: exhaustive_plan
+scores each path with the per-path sum that score_path also uses, and the
+batched beam search it checks never calls that sum.
 joint_posterior conditions the joint hazard distribution of a whole grid
 on a sequence of deployments; the factored belief keeps only marginals
 after each one, so the two part after the first loss (see its docstring).
@@ -17,7 +19,7 @@ import numpy as np
 from .belief import BeliefMap, GridDims, cell_failure_prob
 from .errors import ParameterError
 from .info_measures import BinaryChannel, MiForm
-from .planner import Trajectory, neighbors, per_cell_gain
+from .planner import Trajectory, _path_value, neighbors, per_cell_gain
 
 __all__ = [
     "posterior_by_enumeration",
@@ -120,21 +122,9 @@ def joint_posterior(dims: GridDims, history: Sequence[tuple[Sequence[int], int]]
     return (w @ states) / w.sum()
 
 
-def _path_score(cells: Sequence[int], gain: np.ndarray, keep: np.ndarray) -> float:
-    total = 0.0
-    surv = 1.0
-    seen = set()
-    for c in cells:
-        if c not in seen:
-            total += surv * gain[c]
-            seen.add(c)
-        surv *= keep[c]
-    return total
-
-
 def exhaustive_plan(belief: BeliefMap, start: int, horizon: int, channel: BinaryChannel,
                     alpha: float, form: MiForm = MiForm.POSTERIOR,
-                    mask: Optional[frozenset] = None) -> Trajectory:
+                    mask: Optional[np.ndarray] = None) -> Trajectory:
     """Best trajectory by enumerating every 9-connected move sequence.
 
     Ties resolve to the lexicographically smallest cell sequence. Feasible
@@ -148,7 +138,7 @@ def exhaustive_plan(belief: BeliefMap, start: int, horizon: int, channel: Binary
     def recurse(prefix: tuple):
         nonlocal best
         if len(prefix) == horizon:
-            s = _path_score(prefix, gain, keep)
+            s = _path_value(prefix, gain, keep)
             key = (-s, prefix)
             if best is None or key < best:
                 best = key

@@ -5,6 +5,9 @@ paths are scored by survival-discounted behavioral mutual information and
 searched with a width-limited beam held in numpy arrays, which plans any
 number of (mask, alpha) groups in one pass: a bapp-sig alpha sweep, or
 every sector of a team round. Beam width None means exhaustive.
+
+A plan mask is a bool array of one entry per grid cell, True where a path
+may go, or None for the whole grid.
 """
 
 from __future__ import annotations
@@ -56,6 +59,13 @@ def _neighbor_table(dims: GridDims) -> np.ndarray:
     return table
 
 
+def _check_mask(mask: Optional[np.ndarray], dims: GridDims) -> None:
+    """Raise unless `mask` is None or a bool array of shape (n_cells,)."""
+    if mask is not None and not (isinstance(mask, np.ndarray) and mask.dtype == bool
+                                 and mask.shape == (dims.n_cells,)):
+        raise ParameterError(f"a plan mask must be None or a bool array of shape ({dims.n_cells},)")
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Ordered cells visited after leaving `start`; length is the horizon."""
@@ -66,9 +76,10 @@ class Trajectory:
     def __post_init__(self):
         object.__setattr__(self, "cells", tuple(int(c) for c in self.cells))
 
-    def validate(self, dims: GridDims, mask: Optional[frozenset] = None) -> None:
+    def validate(self, dims: GridDims, mask: Optional[np.ndarray] = None) -> None:
         if not dims.contains(self.start):
             raise ParameterError(f"start {self.start} outside grid")
+        _check_mask(mask, dims)
         prev = self.start
         succ = _neighbor_table(dims)
         for c in self.cells:
@@ -76,7 +87,7 @@ class Trajectory:
                 raise ParameterError(f"cell {c} outside grid")
             if c not in succ[prev]:
                 raise ParameterError(f"move {prev} -> {c} is not 9-connected")
-            if mask is not None and c != self.start and c not in mask:
+            if mask is not None and c != self.start and not mask[c]:
                 raise ParameterError(f"cell {c} outside the allowed mask")
             prev = c
 
@@ -94,7 +105,7 @@ class PlanConfig:
             raise ParameterError(f"beam width must be >= 1, got {self.beam_width}")
 
 
-def neighbors(cell: int, dims: GridDims, mask: Optional[frozenset] = None) -> tuple[int, ...]:
+def neighbors(cell: int, dims: GridDims, mask: Optional[np.ndarray] = None) -> tuple[int, ...]:
     """9-connected successors of a cell in ascending (row-major) order.
 
     Staying put is always allowed, so the cell itself is returned even when
@@ -102,9 +113,10 @@ def neighbors(cell: int, dims: GridDims, mask: Optional[frozenset] = None) -> tu
     """
     if not dims.contains(cell):
         raise ParameterError(f"cell {cell} outside grid")
+    _check_mask(mask, dims)
     n = dims.n_cells
     return tuple(c for c in _neighbor_table(dims)[cell].tolist()
-                 if c < n and (mask is None or c == cell or c in mask))
+                 if c < n and (mask is None or c == cell or mask[c]))
 
 
 def per_cell_gain(belief: BeliefMap, channel: BinaryChannel, alpha,
@@ -132,10 +144,15 @@ def score_path(belief: BeliefMap, path: Trajectory, channel: BinaryChannel,
     """
     gain = per_cell_gain(belief, channel, alpha, form)
     keep = 1.0 - cell_failure_prob(belief.probs, channel)
+    return _path_value(path.cells, gain, keep)
+
+
+def _path_value(cells: Sequence[int], gain: np.ndarray, keep: np.ndarray) -> float:
+    """score_path's sum over `cells`, given each cell's gain and survival factor."""
     total = 0.0
     surv = 1.0
     seen = set()
-    for c in path.cells:
+    for c in cells:
         if c not in seen:
             total += surv * gain[c]
             seen.add(c)
@@ -143,18 +160,8 @@ def score_path(belief: BeliefMap, path: Trajectory, channel: BinaryChannel,
     return float(total)
 
 
-def _mask_cells(start: int, mask: frozenset, n: int) -> np.ndarray:
-    """The cells of a plan mask, after checking it holds `start` and lies in [0, n)."""
-    if start not in mask:
-        raise ParameterError(f"start {start} outside the plan mask")
-    idx = np.fromiter(mask, dtype=np.intp, count=len(mask))
-    if idx.min() < 0 or idx.max() >= n:
-        raise ParameterError(f"plan mask cells must lie in [0, {n})")
-    return idx
-
-
 def plan_paths(belief: BeliefMap, start: int, config: PlanConfig, channel: BinaryChannel,
-               groups: Sequence[tuple[Optional[frozenset], float]]) -> list[tuple[float, tuple[int, ...]]]:
+               groups: Sequence[tuple[Optional[np.ndarray], float]]) -> list[tuple[float, tuple[int, ...]]]:
     """Beam search from `start` for every (mask, alpha) group, in one batched pass.
 
     Group g keeps to the cells of groups[g][0] (None: the whole grid) and
@@ -180,7 +187,10 @@ def plan_paths(belief: BeliefMap, start: int, config: PlanConfig, channel: Binar
     # column n, the padding cell, is never allowed and carries no gain
     allowed = np.zeros((n_groups, stride), dtype=bool)
     for row, (mask, _) in zip(allowed, groups):
-        row[slice(n) if mask is None else _mask_cells(start, mask, n)] = True
+        _check_mask(mask, dims)
+        row[:n] = True if mask is None else mask
+    if not allowed[:, start].all():
+        raise ParameterError(f"start {start} outside the plan mask")
     alphas = tuple(dict.fromkeys(a for _, a in groups))
     gain = np.zeros((n_groups, stride))
     per_alpha = per_cell_gain(belief, channel, np.array(alphas)[:, None], config.mi_form)
@@ -238,7 +248,7 @@ def plan_paths(belief: BeliefMap, start: int, config: PlanConfig, channel: Binar
 
 
 def plan_path(belief: BeliefMap, start: int, config: PlanConfig, channel: BinaryChannel,
-              mask: Optional[frozenset] = None, alpha: float = 1.0) -> Trajectory:
+              mask: Optional[np.ndarray] = None, alpha: float = 1.0) -> Trajectory:
     """Best fixed-horizon trajectory from `start` within `mask` at `alpha` (see plan_paths)."""
     [(_, cells)] = plan_paths(belief, start, config, channel, ((mask, alpha),))
     return Trajectory(start=start, cells=cells)
@@ -247,18 +257,13 @@ def plan_path(belief: BeliefMap, start: int, config: PlanConfig, channel: Binary
 # A run walks a few masks at a time (one per sector of the current base), so
 # a small memo holds them all.
 @functools.lru_cache(maxsize=32)
-def _walk_table(dims: GridDims, mask: Optional[frozenset]) -> tuple:
+def _walk_table(dims: GridDims, mask: Optional[bytes]) -> tuple:
     """Each cell's walk options, neighbors(cell, dims, mask), indexed by cell;
-    None for a cell outside the mask. Checks that the mask lies in the grid."""
+    None for a cell outside the mask. `mask` is a plan mask's bytes, or None."""
     n = dims.n_cells
-    if mask is None:
-        idx = np.arange(n)
-    else:
-        idx = np.fromiter(mask, dtype=np.intp, count=len(mask))
-        if idx.min() < 0 or idx.max() >= n:
-            raise ParameterError(f"plan mask cells must lie in [0, {n})")
     inside = np.zeros(n + 1, dtype=bool)  # the padding cell n is never inside
-    inside[idx] = True
+    inside[:n] = True if mask is None else np.frombuffer(mask, dtype=bool)
+    idx = np.flatnonzero(inside)
     rows = _neighbor_table(dims)[idx]
     # a walk only stands on mask cells, so staying put is always in its row
     options = [None] * n
@@ -267,7 +272,7 @@ def _walk_table(dims: GridDims, mask: Optional[frozenset]) -> tuple:
     return tuple(options)
 
 
-def random_walk(start: int, horizon: int, dims: GridDims, mask: Optional[frozenset],
+def random_walk(start: int, horizon: int, dims: GridDims, mask: Optional[np.ndarray],
                 rng: np.random.Generator) -> Trajectory:
     """Uniform 9-connected walk of fixed length; reproducible per rng state.
 
@@ -275,9 +280,10 @@ def random_walk(start: int, horizon: int, dims: GridDims, mask: Optional[frozens
     """
     if not dims.contains(start):
         raise ParameterError(f"start {start} outside grid")
-    if mask is not None and start not in mask:
+    _check_mask(mask, dims)
+    if mask is not None and not mask[start]:
         raise ParameterError(f"start {start} outside the plan mask")
-    table = _walk_table(dims, mask)
+    table = _walk_table(dims, None if mask is None else mask.tobytes())
     cells = []
     cur = start
     for _ in range(horizon):

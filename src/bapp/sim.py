@@ -1,10 +1,10 @@
 """World generation, deployment execution, and the closed mission loop.
 
 A trial runs rounds of deployments: relocate the base (when enabled),
-partition the grid into one sector per robot (anew only when the base has
-moved), let the strategy pick an agent class, behavior alpha, and path
-per sector against the round-start belief, execute each path against the
-hidden ground truth, then fold the binary outcomes back into the belief.
+partition the grid into one sector per robot, let the strategy pick an
+agent class, behavior alpha, and path per sector against the round-start
+belief, execute each path against the hidden ground truth, then fold the
+binary outcomes back into the belief.
 std-itp and bapp-tid plan all of a round's sectors in one batched beam
 from the round-start fleet; a sector whose class or alpha has changed by
 its turn is planned again alone. All randomness flows through seed
@@ -235,7 +235,6 @@ def run_trial(config: MissionConfig, trial: int) -> TrialMetrics:
     loss_series = [0]
     base_track = []
     d50 = None
-    masks_base = None  # the base that `masks` was built for
 
     for d in range(1, config.deployment_budget + 1):
         if fleet.disposable_remaining + fleet.high_fidelity_remaining <= 0:
@@ -244,9 +243,7 @@ def run_trial(config: MissionConfig, trial: int) -> TrialMetrics:
             base = select_base_site(belief, base, config.relocation, n)
         base_track.append(base)
         round_belief = belief  # planning snapshot: sectors cannot see each other's outcomes
-        if base != masks_base:
-            masks_base = base
-            masks = sector_masks(base, dims, n)
+        masks = sector_masks(base, dims, n)
         planned = plan_round(config.strategy, fleet, round_belief, base, config.plan, channels,
                              masks, trigger=config.trigger)
         decision, paths = planned if planned is not None else (None, None)

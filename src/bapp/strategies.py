@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -163,7 +163,7 @@ def sig_sweep_grid(alpha_hat: float, policy: SigPolicy) -> list[float]:
 
 def sig_select_path(fleet: FleetState, policy: SigPolicy, belief: BeliefMap, start: int,
                     plan: PlanConfig, channel: BinaryChannel,
-                    mask: Optional[frozenset] = None) -> tuple[Trajectory, float]:
+                    mask: Optional[np.ndarray] = None) -> tuple[Trajectory, float]:
     """Plan one path within `mask` per sweep alpha and keep the highest-scoring one.
 
     The whole sweep is one plan_paths call. Each candidate is scored by its
@@ -230,7 +230,7 @@ def deployment_decision(strategy: StrategyKind, fleet: FleetState,
 
 
 def plan_round(strategy: StrategyKind, fleet: FleetState, belief: BeliefMap, start: int,
-               plan: PlanConfig, channels: dict, masks: list,
+               plan: PlanConfig, channels: dict, masks: Sequence[Optional[np.ndarray]],
                trigger: Optional[TriggerPolicy] = None
                ) -> Optional[tuple[tuple[AgentClass, float], list[Trajectory]]]:
     """Every sector of a round planned from the round-start fleet, in one plan_paths pass.
@@ -250,7 +250,7 @@ def plan_round(strategy: StrategyKind, fleet: FleetState, belief: BeliefMap, sta
 
 
 def select_deployment(strategy: StrategyKind, fleet: FleetState, belief: BeliefMap, start: int,
-                      plan: PlanConfig, channels: dict, mask: Optional[frozenset] = None,
+                      plan: PlanConfig, channels: dict, mask: Optional[np.ndarray] = None,
                       sig: Optional[SigPolicy] = None, trigger: Optional[TriggerPolicy] = None,
                       rng: Optional[np.random.Generator] = None) -> tuple[AgentClass, Trajectory, float]:
     """Dispatch one deployment decision within `mask`: (agent class, trajectory, alpha used)."""

@@ -127,12 +127,16 @@ class TestSectorMasks:
         hub = self.box(dims, base)
         assert len(hub) == (9 if base == 24 else 4)
         masks = sector_masks(base, dims, 5)
-        assert len(masks) == 5
+        assert masks.shape == (5, dims.n_cells) and masks.dtype == bool
+        assert not masks.flags.writeable
         for s, mask in enumerate(masks):
-            assert mask == set(np.flatnonzero(sectors == s).tolist()) | hub
+            assert set(np.flatnonzero(mask).tolist()) == set(np.flatnonzero(sectors == s).tolist()) | hub
 
-    def test_one_robot_is_unmasked(self):
-        assert sector_masks(12, GridDims(5, 5), 1) == [None]
+    def test_one_robot_mask_row_is_all_true(self):
+        masks = sector_masks(12, GridDims(5, 5), 1)
+        assert masks.shape == (1, 25) and masks.dtype == bool
+        assert not masks.flags.writeable
+        assert masks.all()
 
 
 class TestRegionalEntropy:

@@ -17,6 +17,13 @@ CH = BinaryChannel(0.9, 0.1)
 D3 = GridDims(3, 3)
 
 
+def mask_row(n: int, cells) -> np.ndarray:
+    """The plan mask of an n-cell grid that allows exactly `cells`."""
+    row = np.zeros(n, dtype=bool)
+    row[list(cells)] = True
+    return row
+
+
 def _rank_key(state):
     return (-state[0], state[1])
 
@@ -27,7 +34,7 @@ def reference_plan_path(belief: BeliefMap, start: int, config: PlanConfig,
     dims = belief.dims
     if not dims.contains(start):
         raise ParameterError(f"start {start} outside grid")
-    if mask is not None and start not in mask:
+    if mask is not None and not mask[start]:
         raise ParameterError(f"start {start} outside the plan mask")
     gain = per_cell_gain(belief, channel, alpha, config.mi_form)
     keep = 1.0 - cell_failure_prob(belief.probs, channel)
@@ -37,7 +44,7 @@ def reference_plan_path(belief: BeliefMap, start: int, config: PlanConfig,
     if mask is not None:
         # pre-filter successor lists; staying put is exempt from the mask
         table = tuple(
-            tuple(c for c in row if c == cell or c in mask)
+            tuple(c for c in row if c == cell or mask[c])
             for cell, row in enumerate(table)
         )
 
@@ -65,11 +72,8 @@ def reference_random_walk(start: int, horizon: int, dims: GridDims, mask, rng) -
     """The neighbors()-filter walk that random_walk's per-mask table replaced, kept as its reference."""
     if not dims.contains(start):
         raise ParameterError(f"start {start} outside grid")
-    if mask is not None:
-        if start not in mask:
-            raise ParameterError(f"start {start} outside the plan mask")
-        if min(mask) < 0 or max(mask) >= dims.n_cells:
-            raise ParameterError(f"plan mask cells must lie in [0, {dims.n_cells})")
+    if mask is not None and not mask[start]:
+        raise ParameterError(f"start {start} outside the plan mask")
     cells = []
     cur = start
     for _ in range(horizon):
@@ -88,10 +92,10 @@ class TestNeighbors:
         assert neighbors(0, D3) == (0, 1, 3, 4)
 
     def test_stay_survives_empty_mask(self):
-        assert neighbors(4, D3, mask=frozenset()) == (4,)
+        assert neighbors(4, D3, mask=mask_row(9, ())) == (4,)
 
     def test_mask_filters(self):
-        assert neighbors(4, D3, mask=frozenset({1, 7})) == (1, 4, 7)
+        assert neighbors(4, D3, mask=mask_row(9, {1, 7})) == (1, 4, 7)
 
     def test_out_of_bounds(self):
         with pytest.raises(ParameterError):
@@ -108,7 +112,7 @@ class TestTrajectoryValidation:
 
     def test_rejects_mask_violation(self):
         with pytest.raises(ParameterError):
-            Trajectory(start=4, cells=(0,)).validate(D3, mask=frozenset({4, 1}))
+            Trajectory(start=4, cells=(0,)).validate(D3, mask=mask_row(9, {4, 1}))
 
 
 class TestScorePath:
@@ -174,7 +178,8 @@ class TestPlanPath:
                 form = (MiForm.POSTERIOR, MiForm.CHANNEL)[k % 2]
                 mask = None
                 if k >= 5:
-                    mask = frozenset(np.flatnonzero(rng.random(dims.n_cells) < 0.6).tolist()) | {start}
+                    mask = rng.random(dims.n_cells) < 0.6
+                    mask[start] = True
                 cfg = PlanConfig(horizon=horizon, beam_width=None, mi_form=form)
                 want = exhaustive_plan(b, start, horizon, CH, alpha, form, mask)
                 assert plan_path(b, start, cfg, CH, mask, alpha) == want
@@ -201,7 +206,7 @@ class TestPlanPath:
     def test_respects_mask_and_connectivity(self):
         rng = np.random.default_rng(29)
         dims = GridDims(5, 5)
-        mask = frozenset(range(10, 20)) | {12}
+        mask = mask_row(25, range(10, 20))
         b = BeliefMap(dims, rng.uniform(0.05, 0.95, 25))
         cfg = PlanConfig(horizon=5, beam_width=8)
         t = plan_path(b, 12, cfg, CH, mask, alpha=1.0)
@@ -211,17 +216,9 @@ class TestPlanPath:
         b = init_uniform(D3)
         cfg = PlanConfig(horizon=2, beam_width=4)
         with pytest.raises(ParameterError):
-            plan_path(b, 4, cfg, CH, frozenset({0, 1}), alpha=1.0)
-
-    @pytest.mark.parametrize("outside", [-1, 9, 99])
-    def test_mask_cell_outside_grid_rejected(self, outside):
-        b = init_uniform(D3)
-        cfg = PlanConfig(horizon=2, beam_width=4)
-        mask = frozenset({4, outside})
-        with pytest.raises(ParameterError):
-            plan_path(b, 4, cfg, CH, mask, alpha=1.0)
-        with pytest.raises(ParameterError):
-            plan_paths(b, 4, cfg, CH, ((mask, 0.5), (None, 1.0)))
+            plan_path(b, 4, cfg, CH, mask_row(9, {0, 1}), alpha=1.0)
+        with pytest.raises(ParameterError, match="start 4 outside the plan mask"):
+            plan_paths(b, 4, cfg, CH, ((None, 1.0), (mask_row(9, {0, 1}), 0.5)))
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ParameterError):
@@ -238,7 +235,7 @@ def _sweep_plans(draw):
     start = draw(st.integers(0, dims.n_cells - 1))
     mask = draw(st.none() | st.sets(st.integers(0, dims.n_cells - 1)))
     if mask is not None:
-        mask = frozenset(mask | {start})
+        mask = mask_row(dims.n_cells, mask | {start})
     width = draw(st.sampled_from((1, 8, 32, None)))
     horizon = draw(st.integers(1, 4 if width is None else 15))
     cfg = PlanConfig(horizon=horizon, beam_width=width, mi_form=draw(st.sampled_from(MiForm)))
@@ -269,8 +266,8 @@ def _group_plans(draw):
     probs = draw(st.lists(st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)),
                           min_size=dims.n_cells, max_size=dims.n_cells))
     start = draw(st.integers(0, dims.n_cells - 1))
-    masks = st.none() | st.just(frozenset({start})) | st.sets(
-        st.integers(0, dims.n_cells - 1)).map(lambda m: frozenset(m | {start}))
+    masks = st.none() | st.just(mask_row(dims.n_cells, {start})) | st.sets(
+        st.integers(0, dims.n_cells - 1)).map(lambda m: mask_row(dims.n_cells, m | {start}))
     # a small alpha pool, so that groups share gain rows
     groups = draw(st.lists(st.tuples(masks, st.sampled_from((0.5, 1.0, 1.2, 2.0))),
                            min_size=1, max_size=6))
@@ -315,7 +312,7 @@ def _thin_beside_wide_groups(draw):
     probs = draw(st.lists(st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)),
                           min_size=dims.n_cells, max_size=dims.n_cells))
     start = draw(st.integers(0, dims.n_cells - 1))
-    masks = [frozenset({start})] * draw(st.integers(1, 3)) + [None] * draw(st.integers(1, 3))
+    masks = [mask_row(dims.n_cells, {start})] * draw(st.integers(1, 3)) + [None] * draw(st.integers(1, 3))
     masks = draw(st.permutations(masks))
     groups = [(mask, draw(st.sampled_from((0.5, 1.0, 2.0)))) for mask in masks]
     cfg = PlanConfig(horizon=draw(st.integers(1, 8)), beam_width=draw(st.sampled_from((2, 3, 8))),
@@ -376,27 +373,19 @@ class TestRandomWalk:
 
     def test_mask_respected(self):
         dims = GridDims(3, 3)
-        row = frozenset({3, 4, 5})
+        row = mask_row(9, {3, 4, 5})
         t = random_walk(4, 40, dims, row, np.random.default_rng(2))
-        assert set(t.cells) <= row
+        assert set(t.cells) <= {3, 4, 5}
         t.validate(dims, mask=row)
 
-    @pytest.mark.parametrize("outside", [-1, 9, 99])
-    def test_mask_cell_outside_grid_rejected(self, outside):
-        rng = np.random.default_rng(3)
-        state = rng.bit_generator.state
-        with pytest.raises(ParameterError, match=r"plan mask cells must lie in \[0, 9\)"):
-            random_walk(4, 5, D3, frozenset({4, outside}), rng)
-        assert rng.bit_generator.state == state
-
     def test_start_outside_mask_rejected(self):
-        for start, mask in ((0, frozenset({8})), (4, frozenset({-1, 99}))):
+        for start, mask in ((0, mask_row(9, {8})), (4, mask_row(9, ()))):
             with pytest.raises(ParameterError, match=f"start {start} outside the plan mask"):
                 random_walk(start, 5, D3, mask, np.random.default_rng(4))
 
     def test_start_checked_on_every_call(self):
         # the mask's table is memoised after the first walk; the start is not
-        mask = frozenset({3, 4, 5})
+        mask = mask_row(9, {3, 4, 5})
         random_walk(4, 5, D3, mask, np.random.default_rng(4))
         rng = np.random.default_rng(4)
         state = rng.bit_generator.state
@@ -408,7 +397,7 @@ class TestRandomWalk:
 @st.composite
 def _walks(draw):
     """A grid from 1x1 to 20x20, a corner, edge or centre base, and the
-    base's sector mask for 2, 3 or 15 robots, or no mask."""
+    base's sector mask for 1 (the whole grid), 2, 3 or 15 robots, or no mask."""
     dims = GridDims(draw(st.integers(1, 20)), draw(st.integers(1, 20)))
     r_last, c_last = dims.rows - 1, dims.cols - 1
     base = dims.to_cell(*draw(st.sampled_from([
@@ -416,7 +405,7 @@ def _walks(draw):
         (0, c_last // 2), (r_last // 2, 0), (r_last, c_last // 2), (r_last // 2, c_last),  # edges
         (r_last // 2, c_last // 2)])))  # centre
     n = draw(st.sampled_from([1, 2, 3, 15]))
-    mask = sector_masks(base, dims, n)[draw(st.integers(0, n - 1))]
+    mask = draw(st.sampled_from([None, *sector_masks(base, dims, n)]))
     return dims, base, mask, draw(st.integers(1, 30)), draw(st.integers(0, 2 ** 32 - 1))
 
 
@@ -428,3 +417,38 @@ def test_table_walk_matches_reference_walk(case):
     walk = random_walk(start, horizon, dims, mask, rng)
     assert walk == reference_random_walk(start, horizon, dims, mask, ref_rng)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("bad", [
+    frozenset({3, 4, 5}),
+    [True] * 9,
+    np.ones(9, dtype=int),
+    np.ones(1, dtype=bool),
+    np.ones(10, dtype=bool),
+], ids=["frozenset", "list", "int-array", "length-1", "length-10"])
+def test_malformed_mask_rejected(bad):
+    message = r"a plan mask must be None or a bool array of shape \(9,\)"
+    cfg = PlanConfig(horizon=2, beam_width=4)
+    with pytest.raises(ParameterError, match=message):
+        plan_paths(init_uniform(D3), 4, cfg, CH, ((None, 1.0), (bad, 0.5)))
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(ParameterError, match=message):
+        random_walk(4, 5, D3, bad, rng)
+    assert rng.bit_generator.state == state
+    with pytest.raises(ParameterError, match=message):
+        neighbors(4, D3, bad)
+    with pytest.raises(ParameterError, match=message):
+        Trajectory(start=4, cells=(4, 5)).validate(D3, bad)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_sweep_plans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_all_true_row_plans_and_walks_as_none(case, seed):
+    belief, start, cfg, _, alphas, channel = case
+    dims = belief.dims
+    everywhere = np.ones(dims.n_cells, dtype=bool)
+    assert (plan_paths(belief, start, cfg, channel, [(everywhere, a) for a in alphas])
+            == plan_paths(belief, start, cfg, channel, [(None, a) for a in alphas]))
+    walk = random_walk(start, cfg.horizon, dims, everywhere, np.random.default_rng(seed))
+    assert walk == random_walk(start, cfg.horizon, dims, None, np.random.default_rng(seed))
