@@ -220,6 +220,17 @@ class TestPlanPath:
         with pytest.raises(ParameterError, match="start 4 outside the plan mask"):
             plan_paths(b, 4, cfg, CH, ((None, 1.0), (mask_row(9, {0, 1}), 0.5)))
 
+    @pytest.mark.parametrize("outside", [9])
+    def test_mask_cell_outside_grid_rejected(self, outside):
+        # a row that marks a cell past the grid is one entry too long
+        b = init_uniform(D3)
+        cfg = PlanConfig(horizon=2, beam_width=4)
+        mask = mask_row(outside + 1, {4, outside})
+        with pytest.raises(ParameterError, match=r"bool array of shape \(9,\)"):
+            plan_path(b, 4, cfg, CH, mask, alpha=1.0)
+        with pytest.raises(ParameterError, match=r"bool array of shape \(9,\)"):
+            plan_paths(b, 4, cfg, CH, ((mask, 0.5), (None, 1.0)))
+
     def test_empty_sweep_rejected(self):
         with pytest.raises(ParameterError):
             plan_paths(init_uniform(D3), 4, PlanConfig(horizon=2), CH, ())
@@ -377,6 +388,14 @@ class TestRandomWalk:
         t = random_walk(4, 40, dims, row, np.random.default_rng(2))
         assert set(t.cells) <= {3, 4, 5}
         t.validate(dims, mask=row)
+
+    @pytest.mark.parametrize("outside", [9])
+    def test_mask_cell_outside_grid_rejected(self, outside):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ParameterError, match=r"bool array of shape \(9,\)"):
+            random_walk(4, 5, D3, mask_row(outside + 1, {4, outside}), rng)
+        assert rng.bit_generator.state == state
 
     def test_start_outside_mask_rejected(self):
         for start, mask in ((0, mask_row(9, {8})), (4, mask_row(9, ()))):
