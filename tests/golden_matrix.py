@@ -35,9 +35,22 @@ from bapp.strategies import StrategyKind  # noqa: E402
 PINS = Path(__file__).resolve().parent / "golden_matrix.json"
 TRIALS = 2
 ROUNDS = 6
-# energy-15x7 bapp-tid first re-plans a sector alone (a miss: its class or
-# alpha changed after the round was planned) in round 16 of both trials
-RAISED = {"energy-15x7/bapp-tid": 16}
+# Every bapp-tid pair runs two rounds past its trigger's phase switch
+# (scenario.py derives it from the full budget: 30% of it), so the matrix
+# covers phase II. energy-15x7 bapp-tid runs longer: it first re-plans a
+# sector alone (a miss: its class or alpha changed after the round was
+# planned) in round 16 of both trials.
+RAISED = {
+    "energy-15x7/bapp-tid": 16,
+    "energy-3x35/bapp-tid": 11,
+    "energy-5x21/bapp-tid": 11,
+    "energy-7x15/bapp-tid": 11,
+    "proof-10x10/bapp-tid": 77,
+    "scalability-20x20-n15/bapp-tid": 20,
+    "scalability-20x20-n3/bapp-tid": 62,
+    "scalability-20x20-n5/bapp-tid": 47,
+    "scalability-20x20-n7/bapp-tid": 38,
+}
 OUTPUTS = (
     ("deployments.csv", experiment.write_deployments_csv),
     ("summary.json", experiment.write_summary_json),

@@ -35,6 +35,12 @@ def test_theory_sweep_matches_pin(tmp_path):
     assert golden_matrix.theory_sweep_digest(str(tmp_path)) == PINS["theory_sweep_sha256"]
 
 
+@pytest.mark.parametrize("pair", [p for p in golden_matrix.pairs() if p.endswith("/bapp-tid")])
+def test_bapp_tid_pairs_reach_phase_two(pair):
+    config, _ = load_scenario(pair.split("/")[0])
+    assert PINS["pairs"][pair]["rounds"] >= config.trigger.phase_switch + 2
+
+
 def test_matrix_holds_a_miss_replan(monkeypatch):
     # run_trial calls select_deployment for a std-itp or bapp-tid sector only
     # when the sector's decision changed after its round was planned
