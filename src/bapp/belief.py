@@ -13,6 +13,7 @@ somewhere along its path).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -32,6 +33,8 @@ __all__ = [
     "update_on_failure",
     "global_entropy",
 ]
+
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -77,17 +80,17 @@ class BeliefMap:
     @cached_property
     def _entropy_bits(self) -> np.ndarray:
         """Read-only binary entropy of each cell in bits, computed on first use."""
-        h = _binary_h(self.probs) / math.log(2.0)
+        h = _binary_h(self.probs) / _LN2
         h.flags.writeable = False
         return h
 
-    def _adopt(self, probs: np.ndarray, cells: np.ndarray) -> "BeliefMap":
-        """A belief on this grid over `probs`, which the caller built as a
-        float array in [0, 1] of the grid's length and hands over: the
-        updates own such an array, so it is neither checked nor copied.
-        `probs` differs from this belief's only at `cells`; if this belief
-        holds its per-cell entropy, the new one gets a copy recomputed at
-        those cells alone, which is elementwise the same as a full pass."""
+    def _adopt(self, cells: np.ndarray, values: list[float]) -> "BeliefMap":
+        """This belief with each of the distinct in-grid `cells` set to the
+        matching float in [0, 1] of `values`, which the updates compute and
+        so need no check. If this belief holds its per-cell entropy, the new
+        one gets a copy patched at those cells alone, the bits of a full pass."""
+        probs = self.probs.copy()
+        probs[cells] = values
         probs.flags.writeable = False
         out = object.__new__(BeliefMap)
         object.__setattr__(out, "dims", self.dims)
@@ -95,10 +98,19 @@ class BeliefMap:
         h = self.__dict__.get("_entropy_bits")
         if h is not None:
             h = h.copy()
-            h[cells] = _binary_h(probs[cells]) / math.log(2.0)
+            h[cells] = _entropy_bits_of(values)
             h.flags.writeable = False
             out.__dict__["_entropy_bits"] = h
         return out
+
+
+def _entropy_bits_of(ps: list[float]) -> list[float]:
+    """_binary_h(p) / ln 2 of each float, the same operations in the same
+    order: one np.log call over every p and 1 - p, the rest in Python floats."""
+    qs = [1.0 - p for p in ps]
+    logs = np.log([x if x > 0.0 else 1.0 for x in ps + qs]).tolist()
+    return [-((p * lp if p > 0.0 else 0.0) + (q * lq if q > 0.0 else 0.0)) / _LN2
+            for p, q, lp, lq in zip(ps, qs, logs, logs[len(ps):])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,12 +149,17 @@ def cell_failure_prob(p, channel: BinaryChannel):
 
 
 def _distinct_path_cells(dims: GridDims, path_cells: Iterable[int]) -> np.ndarray:
-    cells = np.asarray(sorted(set(int(c) for c in path_cells)), dtype=int)
-    if cells.size == 0:
+    """The path's distinct cells as an ascending index array, checked:
+    integers, at least one, all in the grid."""
+    try:
+        cells = sorted(set(map(operator.index, path_cells)))
+    except TypeError:
+        raise ParameterError("path cells must be integers") from None
+    if not cells:
         raise ParameterError("path has no cells")
     if cells[0] < 0 or cells[-1] >= dims.n_cells:
         raise ParameterError("path leaves the grid")
-    return cells
+    return np.array(cells, dtype=np.intp)
 
 
 def update_on_success(belief: BeliefMap, path_cells: Sequence[int], channel: BinaryChannel) -> BeliefMap:
@@ -151,18 +168,19 @@ def update_on_success(belief: BeliefMap, path_cells: Sequence[int], channel: Bin
     Each distinct visited cell i gets the exact per-cell Bayes factor
     p' = p(1-tpr) / (p(1-tpr) + (1-p)(1-fpr)); survival factorizes over
     independent cells so the other cells cancel out. Revisits within one
-    deployment count once.
+    deployment count once. Computed in Python floats over the path's
+    cells, which gives the bits of the same numpy expressions.
     """
     cells = _distinct_path_cells(belief.dims, path_cells)
-    lam, gam = channel.tpr, channel.fpr
-    probs = belief.probs.copy()
-    p = probs[cells]
-    num = p * (1.0 - lam)
-    den = num + (1.0 - p) * (1.0 - gam)
-    if np.any(den <= 0.0):
-        raise InconsistentObservationError("a safe return was impossible under this belief")
-    probs[cells] = num / den
-    return belief._adopt(probs, cells)
+    miss, quiet = 1.0 - channel.tpr, 1.0 - channel.fpr
+    values = []
+    for p in belief.probs[cells].tolist():
+        num = p * miss
+        den = num + (1.0 - p) * quiet
+        if den <= 0.0:
+            raise InconsistentObservationError("a safe return was impossible under this belief")
+        values.append(num / den)
+    return belief._adopt(cells, values)
 
 
 def update_on_failure(belief: BeliefMap, path_cells: Sequence[int], channel: BinaryChannel) -> BeliefMap:
@@ -176,29 +194,35 @@ def update_on_failure(belief: BeliefMap, path_cells: Sequence[int], channel: Bin
 
     and p_i' = p_i * P(theta=1 | X_i=1) / P(theta=1) for each distinct
     visited cell. Raises if the observation has probability zero.
+    Computed in Python floats over the path's cells; the products run left
+    to right in ascending cell order, as np.prod does, so the bits are
+    those of the same numpy expressions.
     """
     cells = _distinct_path_cells(belief.dims, path_cells)
     lam, gam = channel.tpr, channel.fpr
-    probs = belief.probs.copy()
-    p = probs[cells]
-    survive = 1.0 - (p * lam + (1.0 - p) * gam)
-    total_survive = float(np.prod(survive))
+    ps = belief.probs[cells].tolist()
+    survive = [1.0 - (p * lam + (1.0 - p) * gam) for p in ps]
+    total_survive = 1.0
+    for s in survive:
+        total_survive *= s
     p_fail = 1.0 - total_survive
     if p_fail <= 0.0:
         raise InconsistentObservationError("a failure was impossible under this belief")
     # prod over j != i, computed stably even when some survive_j == 0
-    zero = survive == 0.0
-    n_zero = int(zero.sum())
+    n_zero = survive.count(0.0)
     if n_zero == 0:
-        others = total_survive / survive
+        others = [total_survive / s for s in survive]
     else:
-        nonzero_prod = float(np.prod(survive[~zero])) if np.any(~zero) else 1.0
-        others = np.zeros_like(survive)
-        if n_zero == 1:
-            others[zero] = nonzero_prod
-    cond_fail = 1.0 - (1.0 - lam) * others
-    probs[cells] = np.clip(p * cond_fail / p_fail, 0.0, 1.0)
-    return belief._adopt(probs, cells)
+        nonzero_prod = 1.0
+        for s in survive:
+            if s != 0.0:
+                nonzero_prod *= s
+        lone = nonzero_prod if n_zero == 1 else 0.0
+        others = [lone if s == 0.0 else 0.0 for s in survive]
+    miss = 1.0 - lam
+    # min(max(v, 0), 1) keeps np.clip's bits, -0.0 and NaN included
+    values = [min(max(p * (1.0 - miss * o) / p_fail, 0.0), 1.0) for p, o in zip(ps, others)]
+    return belief._adopt(cells, values)
 
 
 def global_entropy(belief: BeliefMap) -> float:

@@ -13,6 +13,7 @@ may go, or None for the whole grid.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -74,7 +75,21 @@ class Trajectory:
     cells: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "cells", tuple(int(c) for c in self.cells))
+        try:
+            start, cells = operator.index(self.start), tuple(map(operator.index, self.cells))
+        except TypeError:
+            raise ParameterError("trajectory start and cells must be integers") from None
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "cells", cells)
+
+    @classmethod
+    def _of_ints(cls, start: int, cells: tuple[int, ...]) -> "Trajectory":
+        """A trajectory over a start and a tuple of cells that are Python
+        ints already (the beam's and the walk's), without the per-cell check."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "start", start)
+        object.__setattr__(out, "cells", cells)
+        return out
 
     def validate(self, dims: GridDims, mask: Optional[np.ndarray] = None) -> None:
         if not dims.contains(self.start):
@@ -208,7 +223,8 @@ def plan_paths(belief: BeliefMap, start: int, config: PlanConfig, channel: Binar
     score, surv = np.zeros(n_groups), np.ones(n_groups)
     visited = np.zeros((n_groups, stride), dtype=bool)
     cell = np.full(n_groups, start, dtype=np.intp)  # each row's last cell
-    for _ in range(config.horizon):
+    last = config.horizon - 1
+    for depth in range(config.horizon):
         kids = rows * 9
         if parent.size != n_groups * kids:
             # for child k of the flat (rows, 9) blocks: its parent row, and the
@@ -221,6 +237,12 @@ def plan_paths(belief: BeliefMap, start: int, config: PlanConfig, channel: Binar
         prev_score, prev_surv = score.take(parent), surv.take(parent)
         score = np.where(visited.take(parent_at + cell), prev_score, prev_score + prev_surv * gain.take(at))
         score = np.where(allowed.take(at), score, -np.inf)
+        if depth == last:
+            # no cut: it would keep each group's first best child, the one
+            # the argmax over all of the group's children finds
+            steps.append((parent, cell))
+            rows = kids
+            break
         surv = prev_surv * keep.take(cell)
         kept = parent
         if width is not None and kids > width:
@@ -251,7 +273,7 @@ def plan_path(belief: BeliefMap, start: int, config: PlanConfig, channel: Binary
               mask: Optional[np.ndarray] = None, alpha: float = 1.0) -> Trajectory:
     """Best fixed-horizon trajectory from `start` within `mask` at `alpha` (see plan_paths)."""
     [(_, cells)] = plan_paths(belief, start, config, channel, ((mask, alpha),))
-    return Trajectory(start=start, cells=cells)
+    return Trajectory._of_ints(start, cells)
 
 
 # A run walks a few masks at a time (one per sector of the current base), so
@@ -276,18 +298,37 @@ def random_walk(start: int, horizon: int, dims: GridDims, mask: Optional[np.ndar
                 rng: np.random.Generator) -> Trajectory:
     """Uniform 9-connected walk of fixed length; reproducible per rng state.
 
-    Each step draws one of the current cell's neighbors(cell, dims, mask).
+    Each step picks one of the current cell's k = len(neighbors(cell, dims,
+    mask)) options with the draw of rng.integers(k), taken from one call for
+    the whole walk: for k > 1 that draw maps a 32-bit word x to x * k >> 32
+    (Lemire's method) and rejects x, for another word, when x * k mod 2**32
+    falls below (2**32 - k) % k; for k == 1 it takes no word. Only a start
+    with no other option has k == 1, and the walk then never moves; every
+    other cell on a walk lists the cell it came from. So the walk takes
+    `horizon` words at once, plus one per rejection, and leaves the rng
+    where one rng.integers call per step would.
     """
     if not dims.contains(start):
         raise ParameterError(f"start {start} outside grid")
     _check_mask(mask, dims)
     if mask is not None and not mask[start]:
         raise ParameterError(f"start {start} outside the plan mask")
+    if horizon < 0:
+        raise ParameterError(f"horizon must be >= 0, got {horizon}")
     table = _walk_table(dims, None if mask is None else mask.tobytes())
+    if len(table[start]) == 1:
+        return Trajectory._of_ints(start, (start,) * horizon)
+    words = rng.integers(0, 0xFFFFFFFF, size=horizon, dtype=np.uint32, endpoint=True).tolist()
     cells = []
     cur = start
-    for _ in range(horizon):
+    for x in words:
         options = table[cur]
-        cur = options[int(rng.integers(len(options)))]
+        k = len(options)
+        m = x * k
+        if (m & 0xFFFFFFFF) < k and (m & 0xFFFFFFFF) < (0x100000000 - k) % k:
+            # rejected: this step takes the next word, and the walk one more
+            words.append(int(rng.integers(0, 0xFFFFFFFF, dtype=np.uint32, endpoint=True)))
+            continue
+        cur = options[m >> 32]
         cells.append(cur)
-    return Trajectory(start=start, cells=tuple(cells))
+    return Trajectory._of_ints(start, tuple(cells))

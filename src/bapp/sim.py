@@ -202,11 +202,15 @@ def execute_deployment(truth: GroundTruthMap, path: Trajectory, agent: AgentSpec
 
     In a hazardous cell the robot fails with the cell's lethality, in a safe
     cell with the agent's malfunction rate. Returns (theta, failure step);
-    theta = 1 means the robot never came back.
+    theta = 1 means the robot never came back. The coins are one
+    rng.random(len(path.cells)) call, the uniforms of that many scalar
+    draws: the robot fails at the first step whose uniform falls below its
+    cell's failure probability. The uniforms after it go unused; run_trial
+    gives each deployment its own failure stream, so they move no other draw.
     """
-    for step, cell in enumerate(path.cells):
-        p_fail = truth.lethality[cell] if truth.hazards[cell] else agent.malfunction_rate
-        if rng.random() < p_fail:
+    hazards, lethality, rate = truth.hazards, truth.lethality, agent.malfunction_rate
+    for step, (cell, u) in enumerate(zip(path.cells, rng.random(len(path.cells)).tolist())):
+        if u < (lethality[cell] if hazards[cell] else rate):
             return 1, step
     return 0, None
 

@@ -175,7 +175,7 @@ def sig_select_path(fleet: FleetState, policy: SigPolicy, belief: BeliefMap, sta
     for a, (s, cells) in zip(alphas, found):
         if best is None or s > best[0]:
             best = (s, a, cells)
-    return Trajectory(start=start, cells=best[2]), best[1]
+    return Trajectory._of_ints(start, best[2]), best[1]
 
 
 def tid_should_trigger(fleet: FleetState, policy: TriggerPolicy) -> bool:
@@ -246,7 +246,7 @@ def plan_round(strategy: StrategyKind, fleet: FleetState, belief: BeliefMap, sta
     decision = deployment_decision(strategy, fleet, trigger)
     cls, alpha = decision
     found = plan_paths(belief, start, plan, channels[cls], [(mask, alpha) for mask in masks])
-    return decision, [Trajectory(start=start, cells=cells) for _, cells in found]
+    return decision, [Trajectory._of_ints(start, cells) for _, cells in found]
 
 
 def select_deployment(strategy: StrategyKind, fleet: FleetState, belief: BeliefMap, start: int,

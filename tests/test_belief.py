@@ -1,12 +1,14 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bapp.belief import (BeliefMap, GridDims, cell_failure_prob, global_entropy, init_uniform,
                          update_on_failure, update_on_success)
 from bapp.errors import InconsistentObservationError, ParameterError
-from bapp.info_measures import BinaryChannel, binary_entropy
+from bapp.info_measures import BinaryChannel, _binary_h, binary_entropy
 from bapp.oracles import (joint_posterior, martingale_gap, outcome_probability,
                           posterior_by_enumeration)
 
@@ -89,6 +91,19 @@ class TestSuccessUpdate:
     def test_out_of_bounds(self):
         with pytest.raises(ParameterError):
             update_on_success(init_uniform(GridDims(2, 2)), [7], CH)
+
+    @pytest.mark.parametrize("update", [update_on_success, update_on_failure])
+    @pytest.mark.parametrize("cells", [[2.9], [2, 2.0], [1.5, 3], ["2"], [None]])
+    def test_non_integral_cells_rejected(self, update, cells):
+        with pytest.raises(ParameterError, match="path cells must be integers"):
+            update(init_uniform(GridDims(2, 2)), cells, CH)
+
+    @pytest.mark.parametrize("update", [update_on_success, update_on_failure])
+    def test_numpy_integer_cells_accepted(self, update):
+        b = init_uniform(GridDims(2, 2))
+        want = update(b, [1, 3], CH).probs
+        for cells in (np.array([1, 3]), [np.int64(1), np.uint8(3)], (np.intp(3), 1, 1)):
+            assert update(b, cells, CH).probs.tobytes() == want.tobytes()
 
 
 class TestFailureUpdate:
@@ -243,6 +258,122 @@ def test_carried_entropy_matches_a_fresh_pass(run):
             assert np.array_equal(belief._entropy_bits, fresh)
             assert global_entropy(belief) == float(np.mean(fresh))
     assert not belief._entropy_bits.flags.writeable
+
+
+def reference_update_on_success(belief, path_cells, channel):
+    """update_on_success as numpy arrays over the path's cells, the vectorised
+    form the Python-float update replaced, kept as its reference. Returns
+    the new probs and the carried per-cell entropy (None if the parent
+    carries none)."""
+    cells = np.asarray(sorted(set(int(c) for c in path_cells)), dtype=int)
+    lam, gam = channel.tpr, channel.fpr
+    probs = belief.probs.copy()
+    p = probs[cells]
+    num = p * (1.0 - lam)
+    den = num + (1.0 - p) * (1.0 - gam)
+    if np.any(den <= 0.0):
+        raise InconsistentObservationError("a safe return was impossible under this belief")
+    probs[cells] = num / den
+    return probs, _reference_patch(belief, probs, cells)
+
+
+def reference_update_on_failure(belief, path_cells, channel):
+    """update_on_failure's vectorised form, kept as its reference (see above)."""
+    cells = np.asarray(sorted(set(int(c) for c in path_cells)), dtype=int)
+    lam, gam = channel.tpr, channel.fpr
+    probs = belief.probs.copy()
+    p = probs[cells]
+    survive = 1.0 - (p * lam + (1.0 - p) * gam)
+    total_survive = float(np.prod(survive))
+    p_fail = 1.0 - total_survive
+    if p_fail <= 0.0:
+        raise InconsistentObservationError("a failure was impossible under this belief")
+    zero = survive == 0.0
+    n_zero = int(zero.sum())
+    if n_zero == 0:
+        others = total_survive / survive
+    else:
+        nonzero_prod = float(np.prod(survive[~zero])) if np.any(~zero) else 1.0
+        others = np.zeros_like(survive)
+        if n_zero == 1:
+            others[zero] = nonzero_prod
+    cond_fail = 1.0 - (1.0 - lam) * others
+    probs[cells] = np.clip(p * cond_fail / p_fail, 0.0, 1.0)
+    return probs, _reference_patch(belief, probs, cells)
+
+
+def _reference_patch(belief, probs, cells):
+    h = belief.__dict__.get("_entropy_bits")
+    if h is None:
+        return None
+    h = h.copy()
+    h[cells] = _binary_h(probs[cells]) / math.log(2.0)
+    return h
+
+
+# lethality 1 and malfunction 0 resolve cells exactly; with p = 1 and tpr = 1
+# (or p = 0 and fpr = 1) a cell's survival factor is 0
+_EDGE_CHANNELS = _CHANNELS + (BinaryChannel(0.9, 1.0), BinaryChannel(1.0, 1.0), BinaryChannel(0.0, 0.0))
+
+
+@st.composite
+def _single_updates(draw):
+    dims = GridDims(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    probs = draw(st.lists(st.sampled_from((0.0, 1.0, 0.5)) | st.floats(0.0, 1.0),
+                          min_size=dims.n_cells, max_size=dims.n_cells))
+    path = draw(st.lists(st.integers(0, dims.n_cells - 1), min_size=1, max_size=15))
+    return (dims, probs, path, draw(st.sampled_from(_EDGE_CHANNELS)), draw(st.booleans()),
+            draw(st.booleans()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_single_updates())
+# two, one and three zero survival factors, then an impossible loss and an impossible return
+@example(case=(GridDims(2, 2), [1.0, 1.0, 0.3, 0.5], [0, 1, 2, 1], BinaryChannel(1.0, 0.1), True, True))
+@example(case=(GridDims(2, 2), [1.0, 0.0, 0.3, 0.5], [0, 1, 2, 2], BinaryChannel(1.0, 0.1), True, True))
+@example(case=(GridDims(1, 3), [0.0, 0.0, 0.0], [0, 1, 2], BinaryChannel(0.7, 1.0), True, False))
+@example(case=(GridDims(1, 3), [0.0, 0.0, 0.5], [0, 1], BinaryChannel(0.7, 0.0), True, True))
+@example(case=(GridDims(1, 3), [1.0, 0.0, 0.5], [0, 0], BinaryChannel(1.0, 0.0), False, True))
+def test_updates_match_vectorised_references(case):
+    dims, probs, path, channel, lost, read = case
+    belief = BeliefMap(dims, np.array(probs))
+    if read:
+        global_entropy(belief)  # the parent carries its per-cell entropy
+    update, reference = ((update_on_failure, reference_update_on_failure) if lost
+                         else (update_on_success, reference_update_on_success))
+    try:
+        want_probs, want_h = reference(belief, path, channel)
+    except InconsistentObservationError:
+        with pytest.raises(InconsistentObservationError):
+            update(belief, path, channel)
+        return
+    got = update(belief, path, channel)
+    assert got.probs.tobytes() == want_probs.tobytes()
+    if want_h is None:
+        assert "_entropy_bits" not in got.__dict__
+    else:
+        assert got._entropy_bits.tobytes() == want_h.tobytes()
+
+
+def test_np_prod_is_the_left_to_right_product():
+    # update_on_failure multiplies survival factors in a Python loop; numpy
+    # pairs up only add reductions, so np.prod must stay sequential
+    rng = np.random.default_rng(13)
+    for n in range(1, 40):
+        for _ in range(200):
+            factors = rng.random(n)
+            want = 1.0
+            for f in factors.tolist():
+                want *= f
+            assert float(np.prod(factors)) == want
+
+
+def test_min_max_keeps_np_clip_bits():
+    values = [-0.0, 0.0, 1.0, -1e-300, 5e-324, 0.5, 1.0 + 2 ** -52, 2.0, -3.0,
+              math.inf, -math.inf, math.nan]
+    want = np.clip(np.array(values), 0.0, 1.0)
+    got = np.array([min(max(v, 0.0), 1.0) for v in values])
+    assert got.tobytes() == want.tobytes()
 
 
 class TestJointPosterior:

@@ -114,6 +114,17 @@ class TestTrajectoryValidation:
         with pytest.raises(ParameterError):
             Trajectory(start=4, cells=(0,)).validate(D3, mask=mask_row(9, {4, 1}))
 
+    @pytest.mark.parametrize("start,cells", [(0, (1.9, 2.5)), (0, (1, 2.0)), (0.0, (1, 2)),
+                                             (0, ("1",)), (None, (1,))])
+    def test_non_integral_start_or_cells_rejected(self, start, cells):
+        with pytest.raises(ParameterError, match="start and cells must be integers"):
+            Trajectory(start=start, cells=cells)
+
+    def test_numpy_integers_become_ints(self):
+        t = Trajectory(start=np.int64(4), cells=np.array([0, 1, 2]))
+        assert t == Trajectory(start=4, cells=(0, 1, 2))
+        assert type(t.start) is int and all(type(c) is int for c in t.cells)
+
 
 class TestScorePath:
     def test_single_cell_equals_mi(self):
@@ -402,6 +413,14 @@ class TestRandomWalk:
             with pytest.raises(ParameterError, match=f"start {start} outside the plan mask"):
                 random_walk(start, 5, D3, mask, np.random.default_rng(4))
 
+    def test_negative_horizon_rejected(self):
+        for mask in (None, mask_row(9, {4})):
+            rng = np.random.default_rng(4)
+            state = rng.bit_generator.state
+            with pytest.raises(ParameterError, match="horizon must be >= 0, got -1"):
+                random_walk(4, -1, D3, mask, rng)
+            assert rng.bit_generator.state == state
+
     def test_start_checked_on_every_call(self):
         # the mask's table is memoised after the first walk; the start is not
         mask = mask_row(9, {3, 4, 5})
@@ -436,6 +455,66 @@ def test_table_walk_matches_reference_walk(case):
     walk = random_walk(start, horizon, dims, mask, rng)
     assert walk == reference_random_walk(start, horizon, dims, mask, ref_rng)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _lemire(rng, k):
+    """rng.integers(k) from 32-bit words: x * k >> 32, rejecting x while
+    x * k mod 2**32 < (2**32 - k) % k; no word for k == 1."""
+    if k == 1:
+        return 0
+    while True:
+        m = int(rng.integers(0, 0xFFFFFFFF, dtype=np.uint32, endpoint=True)) * k
+        if (m & 0xFFFFFFFF) >= (2 ** 32 - k) % k:
+            return m >> 32
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_lemire_step_equals_integers(k):
+    # random_walk maps its one call's words to the draws of per-step integers(k)
+    rng, ref = np.random.default_rng(k), np.random.default_rng(k)
+    for _ in range(500):
+        assert _lemire(rng, k) == int(ref.integers(k))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _rng_next_output_zero(seed: int) -> np.random.Generator:
+    """A PCG64 generator whose next 64-bit output is 0: the state one step
+    on has equal 64-bit halves, so XSL-RR outputs their xor, 0."""
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    inc = state["state"]["inc"]
+    after = 0x0123456789ABCDEF * (2 ** 64 + 1)
+    before = (after - inc) * pow(_PCG64_MULT, -1, 2 ** 128) % 2 ** 128
+    state["state"]["state"] = before
+    state["has_uint32"], state["uinteger"] = 0, 0
+    rng.bit_generator.state = state
+    return rng
+
+
+def test_forced_rejection_walk_matches_reference_walk():
+    # both 32-bit halves of the zero output are words 0, which k = 3 rejects
+    # ((2**32 - 3) % 3 == 1): the walk's first step takes its third word
+    assert _rng_next_output_zero(5).integers(0, 2 ** 64, dtype=np.uint64) == 0
+    dims = GridDims(1, 3)
+    assert len(neighbors(1, dims)) == 3
+    rng, ref_rng = _rng_next_output_zero(5), _rng_next_output_zero(5)
+    walk = random_walk(1, 6, dims, None, rng)
+    assert walk == reference_random_walk(1, 6, dims, None, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # the walk took 6 words plus the two rejected ones
+    words = _rng_next_output_zero(5)
+    words.integers(0, 0xFFFFFFFF, size=8, dtype=np.uint32, endpoint=True)
+    assert rng.bit_generator.state == words.bit_generator.state
+
+
+def test_walk_that_cannot_move_draws_nothing():
+    rng = np.random.default_rng(6)
+    state = rng.bit_generator.state
+    assert random_walk(4, 7, D3, mask_row(9, {4}), rng).cells == (4,) * 7
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("bad", [

@@ -154,6 +154,41 @@ class TestExecuteDeployment:
         expected = 1.0 - 0.9 ** 15
         assert failures / n == pytest.approx(expected, abs=0.01)
 
+    def test_matches_per_step_reference(self):
+        # the one-call execution fails where the per-step loop does, and
+        # always takes one uniform per step of the path
+        rng = np.random.default_rng(17)
+        for trial in range(300):
+            dims = GridDims(int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+            truth = generate_world(dims, float(rng.choice([0.0, 0.3, 0.6])),
+                                   float(rng.choice([0.3, 0.9, 1.0])), seed_stream(trial, 1))
+            agent = AgentSpec(float(rng.choice([0.0, 0.1, 0.5])), 1)
+            cells = tuple(rng.integers(0, dims.n_cells, size=int(rng.integers(0, 16))).tolist())
+            path = Trajectory(start=0, cells=cells)
+            got_rng, ref_rng = seed_stream(trial, 2), seed_stream(trial, 2)
+            assert (execute_deployment(truth, path, agent, got_rng)
+                    == reference_execute_deployment(truth, path, agent, ref_rng))
+            drawn = seed_stream(trial, 2)
+            drawn.random(len(cells))
+            assert got_rng.bit_generator.state == drawn.bit_generator.state
+
+
+def reference_execute_deployment(truth, path, agent, rng):
+    """The per-step loop execute_deployment replaced: one rng.random() per
+    step, stopping at the failure. Kept as its reference."""
+    for step, cell in enumerate(path.cells):
+        p_fail = truth.lethality[cell] if truth.hazards[cell] else agent.malfunction_rate
+        if rng.random() < p_fail:
+            return 1, step
+    return 0, None
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 15, 40])
+def test_random_n_equals_n_scalar_draws(n):
+    rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+    assert rng.random(n).tolist() == [ref.random() for _ in range(n)]
+    assert rng.bit_generator.state == ref.bit_generator.state
+
 
 class TestRunTrial:
     def test_zero_budget_keeps_initial_entropy(self):
