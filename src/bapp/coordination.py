@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -138,6 +139,14 @@ def reachable_cells(belief: BeliefMap, start: int, safety_threshold: float) -> n
     Returns a boolean mask over the grid, all False when start itself is at
     or above the threshold.
     """
+    return _reach(belief, start, safety_threshold)
+
+
+def _reach(belief: BeliefMap, start: int, safety_threshold: float,
+           targets: Optional[np.ndarray] = None) -> np.ndarray:
+    """reachable_cells' mask; given target cells, only its entries at the
+    targets are exact, as the search stops once every sub-threshold target
+    has been reached."""
     dims = belief.dims
     if not dims.contains(start):
         raise ParameterError(f"cell {start} outside grid")
@@ -147,9 +156,10 @@ def reachable_cells(belief: BeliefMap, start: int, safety_threshold: float) -> n
     reach = np.zeros(dims.n_cells + 1, dtype=bool)
     if free[start]:
         succ = _neighbor_table(dims)
+        wanted = None if targets is None else targets[free[targets]]
         reach[start] = True
         ring = np.array([start])
-        while ring.size:
+        while ring.size and (wanted is None or not reach[wanted].all()):
             new = np.zeros_like(reach)
             new[succ[ring]] = True
             new &= free & ~reach
@@ -165,13 +175,12 @@ def _site_scores(belief: BeliefMap, base: int, policy: RelocationPolicy,
     A score equals regional_entropy's average at that site to the bit.
     """
     dims = belief.dims
-    reach = reachable_cells(belief, base, policy.safety_threshold)
     br, bc = dims.to_rc(base)
     r_s = int(math.floor(policy.search_radius))
     box_rows = np.arange(max(0, br - r_s), min(dims.rows, br + r_s + 1))
     box_cols = np.arange(max(0, bc - r_s), min(dims.cols, bc + r_s + 1))
     cands = (box_rows[:, None] * dims.cols + box_cols).ravel()
-    cands = cands[reach[cands]]
+    cands = cands[_reach(belief, base, policy.safety_threshold, cands)[cands]]
     if cands.size == 0:
         return [], []
     ent = belief._entropy_bits

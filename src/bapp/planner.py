@@ -13,9 +13,10 @@ may go, or None for the whole grid.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -295,18 +296,19 @@ def _walk_table(dims: GridDims, mask: Optional[bytes]) -> tuple:
 
 
 def random_walk(start: int, horizon: int, dims: GridDims, mask: Optional[np.ndarray],
-                rng: np.random.Generator) -> Trajectory:
-    """Uniform 9-connected walk of fixed length; reproducible per rng state.
+                words: Iterable[int]) -> Trajectory:
+    """Uniform 9-connected walk of fixed length; reproducible per word stream.
 
-    Each step picks one of the current cell's k = len(neighbors(cell, dims,
-    mask)) options with the draw of rng.integers(k), taken from one call for
-    the whole walk: for k > 1 that draw maps a 32-bit word x to x * k >> 32
-    (Lemire's method) and rejects x, for another word, when x * k mod 2**32
-    falls below (2**32 - k) % k; for k == 1 it takes no word. Only a start
-    with no other option has k == 1, and the walk then never moves; every
-    other cell on a walk lists the cell it came from. So the walk takes
-    `horizon` words at once, plus one per rejection, and leaves the rng
-    where one rng.integers call per step would.
+    `words` yields uint32 words, a generator's full-range
+    integers(0, 0xFFFFFFFF, dtype=np.uint32, endpoint=True) draws. Each step
+    picks one of the current cell's k = len(neighbors(cell, dims, mask))
+    options with the draw rng.integers(k) takes from those words: for k > 1
+    it maps a word x to x * k >> 32 (Lemire's method) and rejects x, for the
+    next word, when x * k mod 2**32 falls below (2**32 - k) % k; for k == 1
+    it takes no word. Only a start with no other option has k == 1, and the
+    walk then never moves; every other cell on a walk lists the cell it came
+    from. So the walk reads `horizon` words, plus one per rejection, and no
+    more: the words of one rng.integers(k) call per step.
     """
     if not dims.contains(start):
         raise ParameterError(f"start {start} outside grid")
@@ -318,17 +320,20 @@ def random_walk(start: int, horizon: int, dims: GridDims, mask: Optional[np.ndar
     table = _walk_table(dims, None if mask is None else mask.tobytes())
     if len(table[start]) == 1:
         return Trajectory._of_ints(start, (start,) * horizon)
-    words = rng.integers(0, 0xFFFFFFFF, size=horizon, dtype=np.uint32, endpoint=True).tolist()
+    words = iter(words)
     cells = []
     cur = start
-    for x in words:
-        options = table[cur]
-        k = len(options)
-        m = x * k
-        if (m & 0xFFFFFFFF) < k and (m & 0xFFFFFFFF) < (0x100000000 - k) % k:
-            # rejected: this step takes the next word, and the walk one more
-            words.append(int(rng.integers(0, 0xFFFFFFFF, dtype=np.uint32, endpoint=True)))
-            continue
-        cur = options[m >> 32]
-        cells.append(cur)
+    try:
+        for x in itertools.islice(words, horizon):
+            options = table[cur]
+            k = len(options)
+            m = x * k
+            while (m & 0xFFFFFFFF) < k and (m & 0xFFFFFFFF) < (0x100000000 - k) % k:
+                m = next(words) * k  # rejected: this step takes the next word
+            cur = options[m >> 32]
+            cells.append(cur)
+    except StopIteration:
+        pass
+    if len(cells) < horizon:
+        raise ParameterError(f"the walk ran out of words after {len(cells)} of {horizon} steps")
     return Trajectory._of_ints(start, tuple(cells))

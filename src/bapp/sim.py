@@ -6,22 +6,27 @@ agent class, behavior alpha, and path per sector against the round-start
 belief, execute each path against the hidden ground truth, then fold the
 binary outcomes back into the belief.
 std-itp and bapp-tid plan all of a round's sectors in one batched beam
-from the round-start fleet; a sector whose class or alpha has changed by
-its turn is planned again alone. All randomness flows through seed
-streams keyed by (master seed, trial, purpose, round, sector) so that
-different strategies face identical worlds and identical per-step
-failure draws.
+from the round-start fleet; at a sector whose class or alpha has changed
+by its turn, the round's remaining sectors are planned again, in one beam,
+under the new decision. All randomness flows through seed streams keyed by
+(master seed, trial, purpose, round, sector) so that different strategies
+face identical worlds and identical per-step failure draws. The world is
+drawn from seed_stream; the failure and walk streams are drawn by
+draws.py for a block of rounds at a time, the same numbers seed_stream's
+generators would give.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .belief import (GridDims, GroundTruthMap, global_entropy, init_uniform,
                      update_on_failure, update_on_success)
+from . import draws
 from .coordination import RelocationPolicy, sector_masks, select_base_site
 from .errors import FleetExhaustedError, ParameterError, ScenarioError
 from .info_measures import BinaryChannel
@@ -45,15 +50,14 @@ _TAG_WORLD = 1
 _TAG_FAILURE = 2
 _TAG_WALK = 3
 
+# streams per draw block: a block holds as many whole rounds' failure and
+# walk streams as fit, and at least one round's
+_BLOCK_STREAMS = 512
+
 
 def seed_stream(master_seed: int, *key: int) -> np.random.Generator:
     """Independent generator for a (master seed, key...) tuple."""
-    words = [int(master_seed), *map(int, key)]
-    if 0 <= min(words) and max(words) < 2 ** 32:
-        # one uint32 word each: the entropy words of the list, without
-        # SeedSequence's per-int conversion
-        words = np.array(words, dtype=np.uint32)
-    return np.random.default_rng(np.random.SeedSequence(words))
+    return np.random.default_rng(np.random.SeedSequence([int(master_seed), *map(int, key)]))
 
 
 @dataclass(frozen=True)
@@ -197,22 +201,65 @@ def generate_world(dims: GridDims, hazard_density: float, lethality: float,
 
 
 def execute_deployment(truth: GroundTruthMap, path: Trajectory, agent: AgentSpec,
-                       rng: np.random.Generator) -> tuple[int, Optional[int]]:
+                       uniforms: Iterable[float]) -> tuple[int, Optional[int]]:
     """Walk the path drawing one failure coin per step.
 
     In a hazardous cell the robot fails with the cell's lethality, in a safe
     cell with the agent's malfunction rate. Returns (theta, failure step);
-    theta = 1 means the robot never came back. The coins are one
-    rng.random(len(path.cells)) call, the uniforms of that many scalar
-    draws: the robot fails at the first step whose uniform falls below its
-    cell's failure probability. The uniforms after it go unused; run_trial
-    gives each deployment its own failure stream, so they move no other draw.
+    theta = 1 means the robot never came back. `uniforms` iterates the
+    deployment's failure stream, at least one uniform per step of the path:
+    the robot fails at the first step whose uniform falls below its cell's
+    failure probability, and no uniform after that step is read.
     """
     hazards, lethality, rate = truth.hazards, truth.lethality, agent.malfunction_rate
-    for step, (cell, u) in enumerate(zip(path.cells, rng.random(len(path.cells)).tolist())):
+    for step, (cell, u) in enumerate(zip(path.cells, uniforms)):
         if u < (lethality[cell] if hazards[cell] else rate):
             return 1, step
     return 0, None
+
+
+def _round_draws(config: MissionConfig, trial: int):
+    """Each round's (failures, walks), from round 1 on.
+
+    failures[sector] lists the first `horizon` uniforms of
+    seed_stream(seed, trial, _TAG_FAILURE, round, sector).random(); for the
+    random strategy walks[sector] lists the first 2 * horizon words of the
+    walk stream's full-range uint32 integers, otherwise walks is None. The
+    draws of a block of rounds, _BLOCK_STREAMS streams or one round, come
+    from one draws.outputs call made when its first round is asked for, so
+    a trial holds one block at a time.
+    """
+    n, horizon = config.team_size, config.horizon
+    tags = [_TAG_FAILURE, _TAG_WALK] if config.strategy is StrategyKind.RANDOM else [_TAG_FAILURE]
+    per_block = max(1, _BLOCK_STREAMS // (n * len(tags)))
+    prefix = draws.key_words(config.master_seed, trial)
+    last = config.deployment_budget
+    for first in range(1, last + 1, per_block):
+        rounds = np.arange(first, min(first + per_block, last + 1))
+        # one key per (tag, round, sector): the prefix's words, then one word
+        # each, as a round and a sector stay below 2**32
+        keys = np.empty((len(tags), len(rounds), n, len(prefix) + 3), dtype=np.uint32)
+        keys[..., :-3] = prefix
+        keys[..., -3] = np.array(tags)[:, None, None]
+        keys[..., -2] = rounds[:, None]
+        keys[..., -1] = np.arange(n)
+        out = draws.outputs(keys.reshape(-1, keys.shape[-1]), horizon).reshape(len(tags), len(rounds), n, -1)
+        failures = draws.uniforms(out[0]).tolist()
+        walks = draws.words(out[1]).tolist() if len(tags) == 2 else [None] * len(rounds)
+        yield from zip(failures, walks)
+
+
+def _walk_words(block_words: list, seed: int, trial: int, d: int, sector: int) -> Iterator[int]:
+    """The words of seed_stream(seed, trial, _TAG_WALK, d, sector): the
+    block's, then, for a walk that rejects past them, the stream's own."""
+
+    def past_block():
+        rng = seed_stream(seed, trial, _TAG_WALK, d, sector)
+        rng.integers(0, 0xFFFFFFFF, size=len(block_words), dtype=np.uint32, endpoint=True)
+        while True:
+            yield int(rng.integers(0, 0xFFFFFFFF, dtype=np.uint32, endpoint=True))
+
+    return itertools.chain(block_words, past_block())
 
 
 def run_trial(config: MissionConfig, trial: int) -> TrialMetrics:
@@ -239,6 +286,7 @@ def run_trial(config: MissionConfig, trial: int) -> TrialMetrics:
     loss_series = [0]
     base_track = []
     d50 = None
+    round_draws = _round_draws(config, trial)
 
     for d in range(1, config.deployment_budget + 1):
         if fleet.disposable_remaining + fleet.high_fidelity_remaining <= 0:
@@ -250,24 +298,27 @@ def run_trial(config: MissionConfig, trial: int) -> TrialMetrics:
         masks = sector_masks(base, dims, n)
         planned = plan_round(config.strategy, fleet, round_belief, base, config.plan, channels,
                              masks, trigger=config.trigger)
-        decision, paths = planned if planned is not None else (None, None)
+        failures, walks = next(round_draws)
         for sector, mask in enumerate(masks):
             try:
-                if paths is not None and deployment_decision(
-                        config.strategy, fleet, config.trigger) == decision:
-                    (cls, alpha_used), traj = decision, paths[sector]
-                else:
-                    # random and bapp-sig, or a miss: an earlier sector's loss
-                    # changed this one's decision, so it is planned alone
-                    walk_rng = (seed_stream(seed, trial, _TAG_WALK, d, sector)
-                                if config.strategy is StrategyKind.RANDOM else None)
+                if planned is None:
+                    # random and bapp-sig plan each sector at its turn
+                    walk = None if walks is None else _walk_words(walks[sector], seed, trial, d, sector)
                     cls, traj, alpha_used = select_deployment(
                         config.strategy, fleet, round_belief, base, config.plan, channels,
-                        mask=mask, sig=config.sig, trigger=config.trigger, rng=walk_rng)
+                        mask=mask, sig=config.sig, trigger=config.trigger, words=walk)
+                else:
+                    if deployment_decision(config.strategy, fleet, config.trigger) != planned[0]:
+                        # a miss: an earlier sector's loss changed this one's
+                        # decision, so the rest of the round is planned again
+                        decision, rest = plan_round(config.strategy, fleet, round_belief, base,
+                                                    config.plan, channels, masks[sector:],
+                                                    trigger=config.trigger)
+                        planned = decision, planned[1][:sector] + rest
+                    (cls, alpha_used), traj = planned[0], planned[1][sector]
             except FleetExhaustedError:
                 break  # the next round's stock check ends the trial
-            theta, fail_step = execute_deployment(
-                truth, traj, specs[cls], seed_stream(seed, trial, _TAG_FAILURE, d, sector))
+            theta, fail_step = execute_deployment(truth, traj, specs[cls], failures[sector])
             if theta == 1:
                 fleet.r_lost += 1
                 if cls is AgentClass.DISPOSABLE:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -252,16 +252,19 @@ def plan_round(strategy: StrategyKind, fleet: FleetState, belief: BeliefMap, sta
 def select_deployment(strategy: StrategyKind, fleet: FleetState, belief: BeliefMap, start: int,
                       plan: PlanConfig, channels: dict, mask: Optional[np.ndarray] = None,
                       sig: Optional[SigPolicy] = None, trigger: Optional[TriggerPolicy] = None,
-                      rng: Optional[np.random.Generator] = None) -> tuple[AgentClass, Trajectory, float]:
-    """Dispatch one deployment decision within `mask`: (agent class, trajectory, alpha used)."""
+                      words: Optional[Iterable[int]] = None) -> tuple[AgentClass, Trajectory, float]:
+    """Dispatch one deployment decision within `mask`: (agent class, trajectory, alpha used).
+
+    A random deployment walks with `words`, its walk stream's uint32 words (see random_walk).
+    """
     if strategy in _FIXED_ALPHA:
         cls, alpha = deployment_decision(strategy, fleet, trigger)
         return cls, plan_path(belief, start, plan, channels[cls], mask, alpha), alpha
     if strategy is StrategyKind.RANDOM:
         cls = _pick_class(fleet, AgentClass.DISPOSABLE)
-        if rng is None:
-            raise ParameterError("random strategy needs an rng")
-        return cls, random_walk(start, plan.horizon, belief.dims, mask, rng), math.nan
+        if words is None:
+            raise ParameterError("random strategy needs walk words")
+        return cls, random_walk(start, plan.horizon, belief.dims, mask, words), math.nan
     if strategy is StrategyKind.BAPP_SIG:
         if sig is None:
             raise ParameterError("bapp-sig needs a SigPolicy")

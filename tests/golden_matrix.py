@@ -3,15 +3,17 @@
 
     python3 tests/golden_matrix.py
 
-rewrites tests/golden_matrix.json. Each (scenario, strategy) pair runs
-trials 0-1 at the scenario's own seed with its round budget cut to ROUNDS
-(or to the pair's entry in RAISED), and one SHA-256 covers the four files
-bapp writes for it: deployments.csv, summary.json, bases.csv and
-paths.csv. The file also pins the stdout and exit code of
-`bapp oracle-check` and the CSVs of a default `bapp theory-sweep`.
-tests/test_golden_matrix.py recomputes every hash. Re-pinning is a
-behaviour change: a refactor that claims to keep the output bytes must
-pass against the file as it was.
+rewrites tests/golden_matrix.json and tests/golden_full.json. Each
+(scenario, strategy) pair runs trials 0-1 at the scenario's own seed, and
+one SHA-256 covers the four files bapp writes for it: deployments.csv,
+summary.json, bases.csv and paths.csv. In golden_matrix.json the round
+budget is cut to ROUNDS (or to the pair's entry in RAISED); that file also
+pins the stdout and exit code of `bapp oracle-check` and the CSVs of a
+default `bapp theory-sweep`. golden_full.json runs every pair at the
+scenario's own budget. tests/test_golden_matrix.py recomputes every hash,
+the full-budget ones under the `slow` marker. Re-pinning is a behaviour
+change: a refactor that claims to keep the output bytes must pass against
+the files as they were.
 """
 
 import contextlib
@@ -33,6 +35,7 @@ from bapp.scenario import builtin_scenarios, load_scenario  # noqa: E402
 from bapp.strategies import StrategyKind  # noqa: E402
 
 PINS = Path(__file__).resolve().parent / "golden_matrix.json"
+FULL_PINS = Path(__file__).resolve().parent / "golden_full.json"
 TRIALS = 2
 ROUNDS = 6
 # Every bapp-tid pair runs two rounds past its trigger's phase switch
@@ -62,6 +65,11 @@ OUTPUTS = (
 def pairs() -> list[str]:
     """Every 'scenario/strategy' pair, scenarios and strategies in their listed order."""
     return [f"{name}/{kind.value}" for name in builtin_scenarios() for kind in StrategyKind]
+
+
+def full_budget(pair: str) -> int:
+    """The round budget of the pair's scenario."""
+    return load_scenario(pair.split("/")[0])[0].deployment_budget
 
 
 def _files_digest(out_dir: str, names) -> str:
@@ -100,22 +108,34 @@ def theory_sweep_digest(out_dir: str) -> str:
     return _files_digest(out_dir, sorted(os.listdir(out_dir)))
 
 
+def pin_pairs(rounds_of, out_dir: str) -> dict:
+    """{"trials", "pairs"} with every pair's digest at rounds_of(pair) rounds."""
+    pins = {"trials": TRIALS, "pairs": {}}
+    for pair in pairs():
+        rounds = rounds_of(pair)
+        pins["pairs"][pair] = {"rounds": rounds, "sha256": pair_digest(pair, rounds, out_dir)}
+        print(pair, rounds, pins["pairs"][pair]["sha256"], flush=True)
+    return pins
+
+
+def _write(path: Path, pins: dict) -> None:
+    with open(path, "w") as f:
+        json.dump(pins, f, indent=1)
+        f.write("\n")
+
+
 def main() -> int:
     out_dir = tempfile.mkdtemp(prefix="bapp-golden-")
     try:
-        pins = {"trials": TRIALS, "pairs": {}}
-        for pair in pairs():
-            rounds = RAISED.get(pair, ROUNDS)
-            pins["pairs"][pair] = {"rounds": rounds, "sha256": pair_digest(pair, rounds, out_dir)}
-            print(pair, rounds, pins["pairs"][pair]["sha256"], flush=True)
+        pins = pin_pairs(lambda pair: RAISED.get(pair, ROUNDS), out_dir)
         pins["oracle_check"] = oracle_check_digest()
         sweep_dir = os.path.join(out_dir, "theory")
         pins["theory_sweep_sha256"] = theory_sweep_digest(sweep_dir)
+        full = pin_pairs(full_budget, out_dir)
     finally:
         shutil.rmtree(out_dir, ignore_errors=True)
-    with open(PINS, "w") as f:
-        json.dump(pins, f, indent=1)
-        f.write("\n")
+    _write(PINS, pins)
+    _write(FULL_PINS, full)
     return 0
 
 

@@ -1,6 +1,7 @@
 """Every built-in scenario x strategy, oracle-check and the default theory
-sweep write the bytes pinned in tests/golden_matrix.json (see
-tests/golden_matrix.py, which writes that file)."""
+sweep write the bytes pinned in tests/golden_matrix.json, and every pair at
+its scenario's full budget those pinned in tests/golden_full.json (see
+tests/golden_matrix.py, which writes both files)."""
 
 import json
 from dataclasses import replace
@@ -13,6 +14,7 @@ from bapp.scenario import load_scenario
 from bapp.strategies import StrategyKind
 
 PINS = json.loads(golden_matrix.PINS.read_text())
+FULL_PINS = json.loads(golden_matrix.FULL_PINS.read_text())
 
 
 def test_pins_cover_every_pair():
@@ -24,6 +26,20 @@ def test_pins_cover_every_pair():
 @pytest.mark.parametrize("pair", sorted(PINS["pairs"]))
 def test_pair_matches_pin(pair, tmp_path):
     pin = PINS["pairs"][pair]
+    assert golden_matrix.pair_digest(pair, pin["rounds"], str(tmp_path)) == pin["sha256"]
+
+
+def test_full_pins_cover_every_pair_at_its_budget():
+    assert FULL_PINS["trials"] == golden_matrix.TRIALS
+    assert list(FULL_PINS["pairs"]) == golden_matrix.pairs()
+    for pair, pin in FULL_PINS["pairs"].items():
+        assert pin["rounds"] == golden_matrix.full_budget(pair)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("pair", sorted(FULL_PINS["pairs"]))
+def test_full_budget_pair_matches_pin(pair, tmp_path):
+    pin = FULL_PINS["pairs"][pair]
     assert golden_matrix.pair_digest(pair, pin["rounds"], str(tmp_path)) == pin["sha256"]
 
 
@@ -42,17 +58,19 @@ def test_bapp_tid_pairs_reach_phase_two(pair):
 
 
 def test_matrix_holds_a_miss_replan(monkeypatch):
-    # run_trial calls select_deployment for a std-itp or bapp-tid sector only
-    # when the sector's decision changed after its round was planned
+    # run_trial plans a std-itp or bapp-tid round once, for all of its
+    # sectors, and again, for the rest of them, only at a sector whose
+    # decision changed after the round was planned
     pair = "energy-15x7/bapp-tid"
     misses = []
-    select = sim.select_deployment
+    plan_round = sim.plan_round
 
-    def spy(strategy, fleet, *args, **kwargs):
-        misses.append(fleet.deployment_index + 1)
-        return select(strategy, fleet, *args, **kwargs)
+    def spy(strategy, fleet, belief, start, plan, channels, masks, **kwargs):
+        if len(masks) < config.team_size:
+            misses.append(fleet.deployment_index + 1)
+        return plan_round(strategy, fleet, belief, start, plan, channels, masks, **kwargs)
 
-    monkeypatch.setattr(sim, "select_deployment", spy)
+    monkeypatch.setattr(sim, "plan_round", spy)
     config, _ = load_scenario(pair.split("/")[0])
     config = replace(config, strategy=StrategyKind.BAPP_TID,
                      deployment_budget=PINS["pairs"][pair]["rounds"])

@@ -83,6 +83,12 @@ def reference_random_walk(start: int, horizon: int, dims: GridDims, mask, rng) -
     return Trajectory(start=start, cells=tuple(cells))
 
 
+def words_of(rng):
+    """rng's full-range uint32 words, drawn one at a time as a walk reads them."""
+    while True:
+        yield int(rng.integers(0, 0xFFFFFFFF, dtype=np.uint32, endpoint=True))
+
+
 class TestNeighbors:
     def test_interior_has_nine(self):
         out = neighbors(4, D3)
@@ -384,19 +390,19 @@ def test_sector_round_matches_reference_beam(case):
 
 class TestRandomWalk:
     def test_reproducible(self):
-        a = random_walk(4, 10, D3, None, np.random.default_rng(5))
-        b = random_walk(4, 10, D3, None, np.random.default_rng(5))
+        a = random_walk(4, 10, D3, None, words_of(np.random.default_rng(5)))
+        b = random_walk(4, 10, D3, None, words_of(np.random.default_rng(5)))
         assert a == b
 
     def test_single_cell_grid(self):
         dims = GridDims(1, 1)
-        t = random_walk(0, 5, dims, None, np.random.default_rng(1))
+        t = random_walk(0, 5, dims, None, words_of(np.random.default_rng(1)))
         assert t.cells == (0, 0, 0, 0, 0)
 
     def test_mask_respected(self):
         dims = GridDims(3, 3)
         row = mask_row(9, {3, 4, 5})
-        t = random_walk(4, 40, dims, row, np.random.default_rng(2))
+        t = random_walk(4, 40, dims, row, words_of(np.random.default_rng(2)))
         assert set(t.cells) <= {3, 4, 5}
         t.validate(dims, mask=row)
 
@@ -405,30 +411,30 @@ class TestRandomWalk:
         rng = np.random.default_rng(3)
         state = rng.bit_generator.state
         with pytest.raises(ParameterError, match=r"bool array of shape \(9,\)"):
-            random_walk(4, 5, D3, mask_row(outside + 1, {4, outside}), rng)
+            random_walk(4, 5, D3, mask_row(outside + 1, {4, outside}), words_of(rng))
         assert rng.bit_generator.state == state
 
     def test_start_outside_mask_rejected(self):
         for start, mask in ((0, mask_row(9, {8})), (4, mask_row(9, ()))):
             with pytest.raises(ParameterError, match=f"start {start} outside the plan mask"):
-                random_walk(start, 5, D3, mask, np.random.default_rng(4))
+                random_walk(start, 5, D3, mask, words_of(np.random.default_rng(4)))
 
     def test_negative_horizon_rejected(self):
         for mask in (None, mask_row(9, {4})):
             rng = np.random.default_rng(4)
             state = rng.bit_generator.state
             with pytest.raises(ParameterError, match="horizon must be >= 0, got -1"):
-                random_walk(4, -1, D3, mask, rng)
+                random_walk(4, -1, D3, mask, words_of(rng))
             assert rng.bit_generator.state == state
 
     def test_start_checked_on_every_call(self):
         # the mask's table is memoised after the first walk; the start is not
         mask = mask_row(9, {3, 4, 5})
-        random_walk(4, 5, D3, mask, np.random.default_rng(4))
+        random_walk(4, 5, D3, mask, words_of(np.random.default_rng(4)))
         rng = np.random.default_rng(4)
         state = rng.bit_generator.state
         with pytest.raises(ParameterError, match="start 0 outside the plan mask"):
-            random_walk(0, 5, D3, mask, rng)
+            random_walk(0, 5, D3, mask, words_of(rng))
         assert rng.bit_generator.state == state
 
 
@@ -452,7 +458,7 @@ def _walks(draw):
 def test_table_walk_matches_reference_walk(case):
     dims, start, mask, horizon, seed = case
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    walk = random_walk(start, horizon, dims, mask, rng)
+    walk = random_walk(start, horizon, dims, mask, words_of(rng))
     assert walk == reference_random_walk(start, horizon, dims, mask, ref_rng)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -470,7 +476,7 @@ def _lemire(rng, k):
 
 @pytest.mark.parametrize("k", range(1, 10))
 def test_lemire_step_equals_integers(k):
-    # random_walk maps its one call's words to the draws of per-step integers(k)
+    # random_walk maps its words to the draws of per-step integers(k)
     rng, ref = np.random.default_rng(k), np.random.default_rng(k)
     for _ in range(500):
         assert _lemire(rng, k) == int(ref.integers(k))
@@ -501,7 +507,7 @@ def test_forced_rejection_walk_matches_reference_walk():
     dims = GridDims(1, 3)
     assert len(neighbors(1, dims)) == 3
     rng, ref_rng = _rng_next_output_zero(5), _rng_next_output_zero(5)
-    walk = random_walk(1, 6, dims, None, rng)
+    walk = random_walk(1, 6, dims, None, words_of(rng))
     assert walk == reference_random_walk(1, 6, dims, None, ref_rng)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     # the walk took 6 words plus the two rejected ones
@@ -510,10 +516,15 @@ def test_forced_rejection_walk_matches_reference_walk():
     assert rng.bit_generator.state == words.bit_generator.state
 
 
+def test_walk_that_runs_out_of_words_rejected():
+    with pytest.raises(ParameterError, match="the walk ran out of words after 2 of 5 steps"):
+        random_walk(4, 5, D3, None, [0x80000000, 0x80000000])
+
+
 def test_walk_that_cannot_move_draws_nothing():
     rng = np.random.default_rng(6)
     state = rng.bit_generator.state
-    assert random_walk(4, 7, D3, mask_row(9, {4}), rng).cells == (4,) * 7
+    assert random_walk(4, 7, D3, mask_row(9, {4}), words_of(rng)).cells == (4,) * 7
     assert rng.bit_generator.state == state
 
 
@@ -532,7 +543,7 @@ def test_malformed_mask_rejected(bad):
     rng = np.random.default_rng(3)
     state = rng.bit_generator.state
     with pytest.raises(ParameterError, match=message):
-        random_walk(4, 5, D3, bad, rng)
+        random_walk(4, 5, D3, bad, words_of(rng))
     assert rng.bit_generator.state == state
     with pytest.raises(ParameterError, match=message):
         neighbors(4, D3, bad)
@@ -548,5 +559,5 @@ def test_all_true_row_plans_and_walks_as_none(case, seed):
     everywhere = np.ones(dims.n_cells, dtype=bool)
     assert (plan_paths(belief, start, cfg, channel, [(everywhere, a) for a in alphas])
             == plan_paths(belief, start, cfg, channel, [(None, a) for a in alphas]))
-    walk = random_walk(start, cfg.horizon, dims, everywhere, np.random.default_rng(seed))
-    assert walk == random_walk(start, cfg.horizon, dims, None, np.random.default_rng(seed))
+    walk = random_walk(start, cfg.horizon, dims, everywhere, words_of(np.random.default_rng(seed)))
+    assert walk == random_walk(start, cfg.horizon, dims, None, words_of(np.random.default_rng(seed)))

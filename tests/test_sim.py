@@ -129,7 +129,7 @@ class TestExecuteDeployment:
         agent = AgentSpec(0.0, 1)
         path = Trajectory(start=55, cells=(44, 33, 22, 11, 0))
         for seed in range(20):
-            theta, step = execute_deployment(truth, path, agent, seed_stream(seed, 2))
+            theta, step = execute_deployment(truth, path, agent, uniforms_of(seed_stream(seed, 2)))
             assert theta == 0 and step is None
 
     def test_certain_hazard_kills_at_step(self):
@@ -141,7 +141,7 @@ class TestExecuteDeployment:
         truth = GroundTruthMap(dims, hazards, truth_lethality)
         agent = AgentSpec(0.0, 1)
         path = Trajectory(start=4, cells=(0, 1, 2))
-        theta, step = execute_deployment(truth, path, agent, seed_stream(0, 2))
+        theta, step = execute_deployment(truth, path, agent, uniforms_of(seed_stream(0, 2)))
         assert (theta, step) == (1, 1)
 
     def test_malfunction_rate_matches_closed_form(self):
@@ -150,13 +150,13 @@ class TestExecuteDeployment:
         path = Trajectory(start=5, cells=(0, 1, 2, 3, 7, 11, 15, 14, 13, 12, 8, 4, 5, 6, 10))
         n = 40000
         rng = seed_stream(123, 2)
-        failures = sum(execute_deployment(truth, path, agent, rng)[0] for _ in range(n))
+        failures = sum(execute_deployment(truth, path, agent, uniforms_of(rng))[0] for _ in range(n))
         expected = 1.0 - 0.9 ** 15
         assert failures / n == pytest.approx(expected, abs=0.01)
 
     def test_matches_per_step_reference(self):
-        # the one-call execution fails where the per-step loop does, and
-        # always takes one uniform per step of the path
+        # execution fails where the per-step loop does, and reads as many
+        # uniforms as it does: one per step, up to the failure
         rng = np.random.default_rng(17)
         for trial in range(300):
             dims = GridDims(int(rng.integers(1, 6)), int(rng.integers(1, 6)))
@@ -166,11 +166,30 @@ class TestExecuteDeployment:
             cells = tuple(rng.integers(0, dims.n_cells, size=int(rng.integers(0, 16))).tolist())
             path = Trajectory(start=0, cells=cells)
             got_rng, ref_rng = seed_stream(trial, 2), seed_stream(trial, 2)
-            assert (execute_deployment(truth, path, agent, got_rng)
+            assert (execute_deployment(truth, path, agent, uniforms_of(got_rng))
                     == reference_execute_deployment(truth, path, agent, ref_rng))
-            drawn = seed_stream(trial, 2)
-            drawn.random(len(cells))
-            assert got_rng.bit_generator.state == drawn.bit_generator.state
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_reads_no_uniform_past_the_failure(self):
+        dims = GridDims(1, 3)
+        from bapp.belief import GroundTruthMap
+        truth = GroundTruthMap(dims, np.zeros(3, dtype=np.int8), np.zeros(3))
+        read = []
+
+        def uniforms():
+            for u in (0.5, 0.05, 0.5):
+                read.append(u)
+                yield u
+
+        path = Trajectory(start=0, cells=(1, 2, 1))
+        assert execute_deployment(truth, path, AgentSpec(0.1, 1), uniforms()) == (1, 1)
+        assert read == [0.5, 0.05]
+
+
+def uniforms_of(rng):
+    """rng's uniforms, drawn one at a time as a deployment reads them."""
+    while True:
+        yield rng.random()
 
 
 def reference_execute_deployment(truth, path, agent, rng):
@@ -287,21 +306,28 @@ class TestRunTrial:
 def _batched_and_per_sector(monkeypatch, config, trial):
     """run_trial as it is, then with no round plan, so that every sector is
     planned at its turn through select_deployment: the per-sector loop the
-    batched round replaced. Also returns how many sectors the batched run
+    batched round replaced. Also returns how many times the batched run
+    planned the rest of a round again after a miss, and how many sectors it
     planned alone."""
-    alone = []
-    select = sim.select_deployment
+    replans, alone = [], []
+    plan_round, select = strategies.plan_round, strategies.select_deployment
 
-    def spy(*args, **kwargs):
+    def plan_spy(strategy, fleet, belief, start, plan, channels, masks, **kwargs):
+        if len(masks) < config.team_size:
+            replans.append(len(masks))
+        return plan_round(strategy, fleet, belief, start, plan, channels, masks, **kwargs)
+
+    def select_spy(*args, **kwargs):
         alone.append(args[0])
         return select(*args, **kwargs)
 
-    monkeypatch.setattr(sim, "select_deployment", spy)
+    monkeypatch.setattr(sim, "plan_round", plan_spy)
+    monkeypatch.setattr(sim, "select_deployment", select_spy)
     got = sim.run_trial(config, trial)
-    misses = len(alone)
+    counts = len(replans), len(alone)
     monkeypatch.setattr(sim, "plan_round", lambda *args, **kwargs: None)
     want = sim.run_trial(config, trial)
-    return got, want, misses
+    return (got, want, *counts)
 
 
 def _assert_same_trial(got, want):
@@ -315,14 +341,14 @@ class TestBatchedRound:
     def test_tid_high_fidelity_runs_out_mid_round(self, monkeypatch):
         # the trigger always fires and high-fidelity robots are nearly always
         # lost, so their stock runs out inside a round: later sectors switch to
-        # disposables at alpha_explore and must be planned again alone
+        # disposables at alpha_explore and must be planned again
         cfg = small_config(team_size=4, deployment_budget=5, strategy=StrategyKind.BAPP_TID,
                            high_fidelity=AgentSpec(0.95, 3),
                            trigger=TriggerPolicy(theta_early=1.0, phase_switch=10))
         for trial in range(3):
-            got, want, misses = _batched_and_per_sector(monkeypatch, cfg, trial)
+            got, want, replans, alone = _batched_and_per_sector(monkeypatch, cfg, trial)
             _assert_same_trial(got, want)
-            assert misses > 0
+            assert replans > 0 and alone == 0
             classes = [r.agent_class for r in got.records if r.round_index == 1]
             assert classes[0] is AgentClass.HIGH_FIDELITY
             assert AgentClass.DISPOSABLE in classes
@@ -331,23 +357,23 @@ class TestBatchedRound:
         cfg = small_config(team_size=3, deployment_budget=6,
                            disposable=AgentSpec(0.9, 4),
                            high_fidelity=AgentSpec(0.01, 4))
-        got, want, misses = _batched_and_per_sector(monkeypatch, cfg, 0)
+        got, want, replans, alone = _batched_and_per_sector(monkeypatch, cfg, 0)
         _assert_same_trial(got, want)
-        assert misses > 0
+        assert replans > 0 and alone == 0
         assert {r.agent_class for r in got.records} == set(AgentClass)
 
     @pytest.mark.parametrize("strategy", [StrategyKind.STD_ITP, StrategyKind.BAPP_TID])
     def test_relocating_team_matches_per_sector_loop(self, monkeypatch, strategy):
         config, _ = load_scenario("energy-15x7")
         config = replace(config, strategy=strategy, master_seed=7, deployment_budget=12)
-        got, want, _ = _batched_and_per_sector(monkeypatch, config, 0)
+        got, want, _, _ = _batched_and_per_sector(monkeypatch, config, 0)
         _assert_same_trial(got, want)
         assert len(set(got.base_track)) > 1
 
     def test_sig_team_plans_each_sector_at_its_turn(self, monkeypatch):
         cfg = small_config(team_size=3, deployment_budget=4, strategy=StrategyKind.BAPP_SIG,
                            disposable=AgentSpec(0.3, 12))
-        got, want, alone = _batched_and_per_sector(monkeypatch, cfg, 1)
+        got, want, _, alone = _batched_and_per_sector(monkeypatch, cfg, 1)
         _assert_same_trial(got, want)
         assert alone == len(got.records)
 

@@ -10,6 +10,7 @@ from bapp.planner import PlanConfig, plan_path, score_path
 from bapp.strategies import (AgentClass, FleetState, SigPolicy, StrategyKind, TriggerPolicy,
                              select_deployment, sig_alpha, sig_select_path, sig_sweep_grid,
                              tid_should_trigger)
+from test_planner import words_of
 
 CH = BinaryChannel(0.7, 0.1)
 CHANNELS = {AgentClass.DISPOSABLE: CH, AgentClass.HIGH_FIDELITY: BinaryChannel(0.7, 0.01)}
@@ -163,9 +164,13 @@ class TestSelectDeployment:
 
     def test_random_uses_nan_alpha(self):
         _, traj, alpha = select_deployment(StrategyKind.RANDOM, fleet(), self.belief, 5,
-                                           self.plan, CHANNELS, rng=np.random.default_rng(0))
+                                           self.plan, CHANNELS, words=words_of(np.random.default_rng(0)))
         assert math.isnan(alpha)
         traj.validate(self.belief.dims)
+
+    def test_random_needs_walk_words(self):
+        with pytest.raises(ParameterError, match="random strategy needs walk words"):
+            select_deployment(StrategyKind.RANDOM, fleet(), self.belief, 5, self.plan, CHANNELS)
 
     def test_tid_flat_history_deploys_high_fidelity(self):
         f = fleet(d=3, hist=[1.0, 1.0, 1.0, 1.0])
