@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -98,6 +97,8 @@ def run_experiment(config: MissionConfig, trials: int, workers: int = 1) -> Expe
     if workers == 1:
         metrics = [_run_trial_star(j) for j in jobs]
     else:
+        # imported here: it loads multiprocessing, which one-worker runs never start
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             metrics = list(pool.map(_run_trial_star, jobs))
     return ExperimentResult(config=config, trials=metrics)

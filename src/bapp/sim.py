@@ -4,23 +4,19 @@ A trial runs rounds of deployments: relocate the base (when enabled),
 partition the grid into one sector per robot, let the strategy pick an
 agent class, behavior alpha, and path per sector against the round-start
 belief, execute each path against the hidden ground truth, then fold the
-binary outcomes back into the belief.
-std-itp and bapp-tid plan all of a round's sectors in one batched beam
-from the round-start fleet; at a sector whose class or alpha has changed
-by its turn, the round's remaining sectors are planned again, in one beam,
-under the new decision. All randomness flows through seed streams keyed by
-(master seed, trial, purpose, round, sector) so that different strategies
-face identical worlds and identical per-step failure draws. The world is
-drawn from seed_stream; the failure and walk streams are drawn by
-draws.py for a block of rounds at a time, the same numbers seed_stream's
-generators would give.
+binary outcomes back into the belief. All randomness flows through seed
+streams keyed by (master seed, trial, purpose, round, sector) so that
+different strategies face identical worlds and identical per-step failure
+draws. The world is drawn from seed_stream; the failure and walk streams
+are drawn by draws.py for a block of rounds at a time, the same numbers
+seed_stream's generators would give.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -28,11 +24,10 @@ from .belief import (GridDims, GroundTruthMap, global_entropy, init_uniform,
                      update_on_failure, update_on_success)
 from . import draws
 from .coordination import RelocationPolicy, sector_masks, select_base_site
-from .errors import FleetExhaustedError, ParameterError, ScenarioError
+from .errors import ParameterError, ScenarioError
 from .info_measures import BinaryChannel
 from .planner import PlanConfig, Trajectory
-from .strategies import (AgentClass, FleetState, SigPolicy, StrategyKind, TriggerPolicy,
-                         deployment_decision, plan_round, select_deployment)
+from .strategies import AgentClass, FleetState, SigPolicy, StrategyKind, TriggerPolicy, plan_round
 
 __all__ = [
     "AgentSpec",
@@ -131,8 +126,7 @@ class MissionConfig:
         }
 
 
-@dataclass(frozen=True)
-class DeploymentRecord:
+class DeploymentRecord(NamedTuple):
     trial: int
     round_index: int
     sector: int
@@ -209,12 +203,16 @@ def execute_deployment(truth: GroundTruthMap, path: Trajectory, agent: AgentSpec
     theta = 1 means the robot never came back. `uniforms` iterates the
     deployment's failure stream, at least one uniform per step of the path:
     the robot fails at the first step whose uniform falls below its cell's
-    failure probability, and no uniform after that step is read.
+    failure probability, and no uniform after that step is read. Running
+    out of uniforms before the path's end is a ParameterError.
     """
     hazards, lethality, rate = truth.hazards, truth.lethality, agent.malfunction_rate
+    step = -1
     for step, (cell, u) in enumerate(zip(path.cells, uniforms)):
         if u < (lethality[cell] if hazards[cell] else rate):
             return 1, step
+    if step + 1 < len(path.cells):
+        raise ParameterError(f"the failure stream ran out after {step + 1} of {len(path.cells)} steps")
     return 0, None
 
 
@@ -289,35 +287,19 @@ def run_trial(config: MissionConfig, trial: int) -> TrialMetrics:
     round_draws = _round_draws(config, trial)
 
     for d in range(1, config.deployment_budget + 1):
-        if fleet.disposable_remaining + fleet.high_fidelity_remaining <= 0:
+        if not fleet.in_stock:
             break
         if config.relocate and d > 1 and (d - 1) % config.relocation.cadence == 0:
             base = select_base_site(belief, base, config.relocation, n)
         base_track.append(base)
-        round_belief = belief  # planning snapshot: sectors cannot see each other's outcomes
-        masks = sector_masks(base, dims, n)
-        planned = plan_round(config.strategy, fleet, round_belief, base, config.plan, channels,
-                             masks, trigger=config.trigger)
         failures, walks = next(round_draws)
-        for sector, mask in enumerate(masks):
-            try:
-                if planned is None:
-                    # random and bapp-sig plan each sector at its turn
-                    walk = None if walks is None else _walk_words(walks[sector], seed, trial, d, sector)
-                    cls, traj, alpha_used = select_deployment(
-                        config.strategy, fleet, round_belief, base, config.plan, channels,
-                        mask=mask, sig=config.sig, trigger=config.trigger, words=walk)
-                else:
-                    if deployment_decision(config.strategy, fleet, config.trigger) != planned[0]:
-                        # a miss: an earlier sector's loss changed this one's
-                        # decision, so the rest of the round is planned again
-                        decision, rest = plan_round(config.strategy, fleet, round_belief, base,
-                                                    config.plan, channels, masks[sector:],
-                                                    trigger=config.trigger)
-                        planned = decision, planned[1][:sector] + rest
-                    (cls, alpha_used), traj = planned[0], planned[1][sector]
-            except FleetExhaustedError:
-                break  # the next round's stock check ends the trial
+        words = None if walks is None else [_walk_words(w, seed, trial, d, sector)
+                                            for sector, w in enumerate(walks)]
+        # plan_round holds the round-start belief: sectors cannot see each
+        # other's outcomes
+        for sector, (cls, traj, alpha_used) in enumerate(plan_round(
+                config.strategy, fleet, belief, base, config.plan, channels,
+                sector_masks(base, dims, n), sig=config.sig, trigger=config.trigger, words=words)):
             theta, fail_step = execute_deployment(truth, traj, specs[cls], failures[sector])
             if theta == 1:
                 fleet.r_lost += 1
@@ -348,5 +330,5 @@ def run_trial(config: MissionConfig, trial: int) -> TrialMetrics:
         deployments_to_half=d50,
         rounds_executed=fleet.deployment_index,
         initial_stock=fleet.r_total,
-        surviving_stock=fleet.disposable_remaining + fleet.high_fidelity_remaining,
+        surviving_stock=fleet.in_stock,
     )

@@ -10,9 +10,11 @@ Four strategies are dispatched per deployment:
   bapp-tid  two-phase triggered deployment of scarce high-fidelity agents
             when the windowed entropy drop stagnates.
 
-std-itp and bapp-tid decide one (class, alpha) per fleet state, so
-plan_round plans every sector of a team round in one batched beam;
-random and bapp-sig plan each sector at its turn.
+plan_round yields a team round's deployments, one sector at a time, from
+the live fleet. std-itp and bapp-tid decide one (class, alpha) per fleet
+state, so it plans every sector of the round in one batched beam, and the
+rest of the round again at a sector whose decision has changed by its
+turn; random and bapp-sig plan each sector at its turn.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -132,6 +134,11 @@ class FleetState:
         if self.r_total < 1:
             raise ParameterError("fleet needs at least one robot")
 
+    @property
+    def in_stock(self) -> int:
+        """Robots of either class left to deploy."""
+        return self.disposable_remaining + self.high_fidelity_remaining
+
     def remaining(self, cls: AgentClass) -> int:
         if cls is AgentClass.DISPOSABLE:
             return self.disposable_remaining
@@ -231,22 +238,38 @@ def deployment_decision(strategy: StrategyKind, fleet: FleetState,
 
 def plan_round(strategy: StrategyKind, fleet: FleetState, belief: BeliefMap, start: int,
                plan: PlanConfig, channels: dict, masks: Sequence[Optional[np.ndarray]],
-               trigger: Optional[TriggerPolicy] = None
-               ) -> Optional[tuple[tuple[AgentClass, float], list[Trajectory]]]:
-    """Every sector of a round planned from the round-start fleet, in one plan_paths pass.
+               sig: Optional[SigPolicy] = None, trigger: Optional[TriggerPolicy] = None,
+               words: Optional[Sequence[Iterable[int]]] = None
+               ) -> Iterator[tuple[AgentClass, Trajectory, float]]:
+    """Each sector's deployment within masks[sector], (agent class, trajectory,
+    alpha used), decided from `fleet` as it stands when that sector is asked for.
 
-    For std-itp and bapp-tid returns the deployment_decision and one
-    trajectory per mask: the path select_deployment plans for that mask
-    under that decision, bit for bit. A sector whose decision has changed by
-    its turn (a stock ran out) must be planned again alone. Returns None for
-    random and bapp-sig, which plan each sector at its turn.
+    The caller records each sector's outcome in `fleet` before asking for the
+    next; `belief` stays the round-start one. The round ends at a sector with
+    nothing in stock. Each deployment is the one select_deployment makes for
+    that sector, bit for bit: std-itp and bapp-tid plan every sector in one
+    plan_paths pass, and the rest of the round in one more at a sector whose
+    deployment_decision has changed by its turn (a stock ran out); random and
+    bapp-sig call select_deployment at each turn, a random sector walking
+    with words[sector].
     """
-    if strategy not in _FIXED_ALPHA:
-        return None
-    decision = deployment_decision(strategy, fleet, trigger)
-    cls, alpha = decision
-    found = plan_paths(belief, start, plan, channels[cls], [(mask, alpha) for mask in masks])
-    return decision, [Trajectory._of_ints(start, cells) for _, cells in found]
+    decision = None
+    for sector, mask in enumerate(masks):
+        if not fleet.in_stock:
+            return
+        if strategy not in _FIXED_ALPHA:
+            yield select_deployment(strategy, fleet, belief, start, plan, channels, mask=mask,
+                                    sig=sig, trigger=trigger,
+                                    words=None if words is None else words[sector])
+            continue
+        now = deployment_decision(strategy, fleet, trigger)
+        if now != decision:
+            # the first sector, or a miss: an earlier sector's loss changed
+            # this one's decision, so the rest of the round is planned again
+            decision, first = now, sector
+            cls, alpha = decision
+            paths = plan_paths(belief, start, plan, channels[cls], [(m, alpha) for m in masks[sector:]])
+        yield cls, Trajectory._of_ints(start, paths[sector - first][1]), alpha
 
 
 def select_deployment(strategy: StrategyKind, fleet: FleetState, belief: BeliefMap, start: int,

@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 import golden_matrix
-from bapp import sim
+from bapp import sim, strategies
 from bapp.scenario import load_scenario
 from bapp.strategies import StrategyKind
 
@@ -58,24 +58,29 @@ def test_bapp_tid_pairs_reach_phase_two(pair):
 
 
 def test_matrix_holds_a_miss_replan(monkeypatch):
-    # run_trial plans a std-itp or bapp-tid round once, for all of its
+    # plan_round plans a std-itp or bapp-tid round once, for all of its
     # sectors, and again, for the rest of them, only at a sector whose
     # decision changed after the round was planned
     pair = "energy-15x7/bapp-tid"
-    misses = []
-    plan_round = sim.plan_round
-
-    def spy(strategy, fleet, belief, start, plan, channels, masks, **kwargs):
-        if len(masks) < config.team_size:
-            misses.append(fleet.deployment_index + 1)
-        return plan_round(strategy, fleet, belief, start, plan, channels, masks, **kwargs)
-
-    monkeypatch.setattr(sim, "plan_round", spy)
     config, _ = load_scenario(pair.split("/")[0])
     config = replace(config, strategy=StrategyKind.BAPP_TID,
                      deployment_budget=PINS["pairs"][pair]["rounds"])
     assert config.relocate and config.team_size > 1
+    rounds, misses = [], []
+    plan_paths = strategies.plan_paths
+
+    def spy(belief, start, plan, channel, groups):
+        # each round opens with one pass over all of its sectors
+        if len(groups) == config.team_size:
+            rounds.append(len(rounds) + 1)
+        else:
+            misses.append(rounds[-1])
+        return plan_paths(belief, start, plan, channel, groups)
+
+    monkeypatch.setattr(strategies, "plan_paths", spy)
     for trial in range(golden_matrix.TRIALS):
+        rounds.clear()
         misses.clear()
-        sim.run_trial(config, trial)
+        got = sim.run_trial(config, trial)
+        assert len(rounds) == got.rounds_executed
         assert misses and max(misses) == config.deployment_budget

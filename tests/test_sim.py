@@ -1,5 +1,9 @@
+import concurrent.futures
 import inspect
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -7,9 +11,9 @@ import pytest
 
 from bapp import experiment, planner, sim, strategies
 from bapp.belief import GridDims
-from bapp.errors import ParameterError, ScenarioError
+from bapp.errors import FleetExhaustedError, ParameterError, ScenarioError
 from bapp.experiment import (fmt9, run_experiment, theory_sweep, write_deployments_csv,
-                             write_summary_json, write_theory_csvs)
+                             write_paths_csv, write_summary_json, write_theory_csvs)
 from bapp.info_measures import MiForm
 from bapp.planner import PlanConfig, Trajectory
 from bapp.scenario import (builtin_scenarios, load_scenario, parse_scenario_text,
@@ -185,6 +189,21 @@ class TestExecuteDeployment:
         assert execute_deployment(truth, path, AgentSpec(0.1, 1), uniforms()) == (1, 1)
         assert read == [0.5, 0.05]
 
+    @pytest.mark.parametrize("hazard, uniforms", [(1, []), (0, []), (0, [0.5, 0.5, 0.5])])
+    def test_too_few_uniforms_rejected(self, hazard, uniforms):
+        # a path of lethal cells with no uniforms would otherwise come back alive
+        from bapp.belief import GroundTruthMap
+        truth = GroundTruthMap(GridDims(1, 4), np.full(4, hazard, dtype=np.int8), np.full(4, float(hazard)))
+        path = Trajectory(start=0, cells=(1, 2, 3, 2))
+        with pytest.raises(ParameterError, match=f"ran out after {len(uniforms)} of 4 steps"):
+            execute_deployment(truth, path, AgentSpec(0.1, 1), iter(uniforms))
+
+    def test_one_uniform_per_step_is_enough(self):
+        from bapp.belief import GroundTruthMap
+        truth = GroundTruthMap(GridDims(1, 4), np.zeros(4, dtype=np.int8), np.zeros(4))
+        path = Trajectory(start=0, cells=(1, 2, 3, 2))
+        assert execute_deployment(truth, path, AgentSpec(0.1, 1), iter([0.5] * 4)) == (0, None)
+
 
 def uniforms_of(rng):
     """rng's uniforms, drawn one at a time as a deployment reads them."""
@@ -303,31 +322,45 @@ class TestRunTrial:
         assert tm.base_track[0] == cfg.start_cell
 
 
-def _batched_and_per_sector(monkeypatch, config, trial):
-    """run_trial as it is, then with no round plan, so that every sector is
-    planned at its turn through select_deployment: the per-sector loop the
-    batched round replaced. Also returns how many times the batched run
-    planned the rest of a round again after a miss, and how many sectors it
-    planned alone."""
-    replans, alone = [], []
-    plan_round, select = strategies.plan_round, strategies.select_deployment
+def _per_sector_round(strategy, fleet, belief, start, plan, channels, masks,
+                      sig=None, trigger=None, words=None):
+    """The per-sector loop the batched round replaced: select_deployment at
+    each sector's turn, until the fleet is exhausted."""
+    for sector, mask in enumerate(masks):
+        try:
+            deployment = strategies.select_deployment(
+                strategy, fleet, belief, start, plan, channels, mask=mask, sig=sig,
+                trigger=trigger, words=None if words is None else words[sector])
+        except FleetExhaustedError:
+            return
+        yield deployment
 
-    def plan_spy(strategy, fleet, belief, start, plan, channels, masks, **kwargs):
-        if len(masks) < config.team_size:
-            replans.append(len(masks))
-        return plan_round(strategy, fleet, belief, start, plan, channels, masks, **kwargs)
+
+def _batched_and_per_sector(monkeypatch, config, trial):
+    """run_trial as it is, then with _per_sector_round planning each round.
+    Also returns how many times the batched run planned the rest of a round
+    again after a miss, and how many sectors it planned through
+    select_deployment."""
+    replans, alone = [], []
+    plan_paths, select = strategies.plan_paths, strategies.select_deployment
+
+    def plan_spy(belief, start, plan, channel, groups):
+        if len(groups) < config.team_size:
+            replans.append(len(groups))
+        return plan_paths(belief, start, plan, channel, groups)
 
     def select_spy(*args, **kwargs):
         alone.append(args[0])
         return select(*args, **kwargs)
 
-    monkeypatch.setattr(sim, "plan_round", plan_spy)
-    monkeypatch.setattr(sim, "select_deployment", select_spy)
-    got = sim.run_trial(config, trial)
-    counts = len(replans), len(alone)
-    monkeypatch.setattr(sim, "plan_round", lambda *args, **kwargs: None)
-    want = sim.run_trial(config, trial)
-    return (got, want, *counts)
+    with monkeypatch.context() as m:
+        m.setattr(strategies, "plan_paths", plan_spy)
+        m.setattr(strategies, "select_deployment", select_spy)
+        got = sim.run_trial(config, trial)
+    with monkeypatch.context() as m:
+        m.setattr(sim, "plan_round", _per_sector_round)
+        want = sim.run_trial(config, trial)
+    return got, want, len(replans), len(alone)
 
 
 def _assert_same_trial(got, want):
@@ -431,11 +464,20 @@ class TestRunExperiment:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        # run_experiment imports the pool class from concurrent.futures when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
         res = run_experiment(small_config(deployment_budget=2), trials=trials, workers=workers)
         assert len(res.trials) == trials
         assert sizes == ([] if pool_size is None else [pool_size])
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # a fresh process: this one may already hold the pool module
+        src = os.path.dirname(os.path.dirname(experiment.__file__))
+        code = "import sys, bapp; print('concurrent.futures.process' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "False"
 
     @pytest.mark.parametrize("workers", [0, -5])
     def test_workers_below_one_rejected(self, workers):
@@ -564,6 +606,24 @@ class TestCli:
                      "--alpha-grid", "0.5,1.0", "--prior-grid", "0.2,0.5",
                      "--lambda-grid", "0.9", "--gamma-grid", "0.1"]) == 0
         assert (sweep_out / "theory_sweep.csv").exists()
+
+    @pytest.mark.parametrize("write_paths", [True, False])
+    def test_simulate_write_paths(self, tmp_path, write_paths):
+        from bapp.cli import main
+        scen = tmp_path / "tiny.txt"
+        scen.write_text(
+            "rows = 5\ncols = 5\nhorizon = 4\ndeployment_budget = 3\nteam_size = 2\n"
+            "hazard_density = 0.08\nbeam_width = 8\ntrials = 2\nmaster_seed = 11\n"
+        )
+        out = tmp_path / "out"
+        flags = ["--write-paths"] if write_paths else []
+        assert main(["simulate", "--scenario", str(scen), "--out", str(out), *flags]) == 0
+        assert (out / "paths.csv").exists() is write_paths
+        if write_paths:
+            config, trials = load_scenario(str(scen))
+            want = tmp_path / "paths.csv"
+            write_paths_csv(str(want), [run_experiment(config, trials)])
+            assert (out / "paths.csv").read_bytes() == want.read_bytes()
 
     def test_oracle_check(self, capsys):
         from bapp.cli import main

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from bapp import strategies
 from bapp.belief import BeliefMap, GridDims, init_uniform
+from bapp.coordination import sector_masks
 from bapp.errors import FleetExhaustedError, ParameterError
 from bapp.info_measures import BinaryChannel, MiForm
 from bapp.planner import PlanConfig, plan_path, score_path
 from bapp.strategies import (AgentClass, FleetState, SigPolicy, StrategyKind, TriggerPolicy,
-                             select_deployment, sig_alpha, sig_select_path, sig_sweep_grid,
+                             plan_round, select_deployment, sig_alpha, sig_select_path, sig_sweep_grid,
                              tid_should_trigger)
 from test_planner import words_of
 
@@ -202,3 +204,72 @@ class TestSelectDeployment:
                        r_lost=10, entropy_history=[1.0])
         with pytest.raises(FleetExhaustedError):
             select_deployment(StrategyKind.STD_ITP, f, self.belief, 5, self.plan, CHANNELS)
+
+
+class TestPlanRound:
+    def setup_method(self):
+        self.belief = BeliefMap(GridDims(4, 4), np.random.default_rng(5).uniform(0.1, 0.9, 16))
+        self.plan = PlanConfig(horizon=3, beam_width=8)
+        self.masks = sector_masks(5, self.belief.dims, 4)
+
+    def round_of(self, strategy, f, **kwargs):
+        return plan_round(strategy, f, self.belief, 5, self.plan, CHANNELS, self.masks, **kwargs)
+
+    @staticmethod
+    def lose(f, cls):
+        f.r_lost += 1
+        if cls is AgentClass.DISPOSABLE:
+            f.disposable_remaining -= 1
+        else:
+            f.high_fidelity_remaining -= 1
+
+    def test_loss_between_sig_sectors_changes_alpha(self):
+        pol = SigPolicy(0.5, 1.5, sweep_halfwidth=0.0)
+        f = fleet()
+        deployments = self.round_of(StrategyKind.BAPP_SIG, f, sig=pol)
+        cls, _, first = next(deployments)
+        assert first == sig_alpha(f, pol) == 0.5
+        self.lose(f, cls)
+        _, _, second = next(deployments)
+        assert second == sig_alpha(f, pol) > first
+
+    @pytest.mark.parametrize("strategy", list(StrategyKind))
+    def test_fleet_emptied_mid_round_ends_it(self, strategy):
+        f = fleet(disp=2, hf=0)
+        words = [words_of(np.random.default_rng(s)) for s in range(len(self.masks))]
+        deployments = self.round_of(strategy, f, sig=SigPolicy(), trigger=TriggerPolicy(),
+                                    words=words)
+        cls, _, _ = next(deployments)
+        self.lose(f, cls)
+        cls, _, _ = next(deployments)
+        self.lose(f, cls)
+        assert f.in_stock == 0
+        assert list(deployments) == []
+
+    def test_std_round_replans_rest_once_when_disposables_run_out(self, monkeypatch):
+        groups = []
+        plan_paths = strategies.plan_paths
+
+        def spy(belief, start, plan, channel, plan_groups):
+            groups.append(len(plan_groups))
+            return plan_paths(belief, start, plan, channel, plan_groups)
+
+        monkeypatch.setattr(strategies, "plan_paths", spy)
+        f = fleet(disp=1, hf=5)
+        got = []
+        for sector, (cls, traj, alpha) in enumerate(self.round_of(StrategyKind.STD_ITP, f)):
+            assert (cls, traj, alpha) == select_deployment(StrategyKind.STD_ITP, f, self.belief, 5,
+                                                           self.plan, CHANNELS,
+                                                           mask=self.masks[sector])
+            got.append(cls)
+            self.lose(f, cls)
+        assert got == [AgentClass.DISPOSABLE] + [AgentClass.HIGH_FIDELITY] * 3
+        assert groups == [4, 3]
+
+    @pytest.mark.parametrize("strategy", list(StrategyKind))
+    def test_select_deployment_on_empty_fleet_raises(self, strategy):
+        f = FleetState(r_total=4, disposable_remaining=0, high_fidelity_remaining=0,
+                       r_lost=4, entropy_history=[1.0])
+        with pytest.raises(FleetExhaustedError):
+            select_deployment(strategy, f, self.belief, 5, self.plan, CHANNELS, sig=SigPolicy(),
+                              trigger=TriggerPolicy(), words=words_of(np.random.default_rng(0)))
