@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import os
 import sys
 from dataclasses import replace
@@ -12,7 +13,7 @@ import numpy as np
 
 from .belief import GridDims
 from .errors import ParameterError, ScenarioError
-from .experiment import (run_experiment, theory_sweep, write_bases_csv,
+from .experiment import (MAX_SWEEP_ROWS, run_experiment, theory_sweep, write_bases_csv,
                          write_deployments_csv, write_paths_csv,
                          write_summary_json, write_theory_csvs)
 from .info_measures import BinaryChannel
@@ -25,19 +26,33 @@ from .strategies import AgentClass, StrategyKind
 
 
 def _parse_grid(text: str) -> list[float]:
-    """Grid flags accept 'start:stop:step' (inclusive) or 'v1,v2,...'."""
+    """A grid flag's points: 'start:stop:step' (inclusive) or 'v1,v2,...'.
+
+    A range's point count is checked against MAX_SWEEP_ROWS before any
+    point is made; a bad grid is a ScenarioError.
+    """
     text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise argparse.ArgumentTypeError(f"expected start:stop:step, got {text!r}")
-        start, stop, step = (float(x) for x in parts)
-        if step <= 0:
-            raise argparse.ArgumentTypeError("step must be > 0")
-        n = int(round((stop - start) / step))
-        values = [start + k * step for k in range(n + 1)]
-        return [v for v in values if v <= stop + 1e-12]
-    return [float(x) for x in text.split(",") if x.strip()]
+    is_range = ":" in text
+    parts = text.split(":") if is_range else [x for x in text.split(",") if x.strip()]
+    try:
+        numbers = [float(x) for x in parts]
+    except ValueError:
+        raise ScenarioError(f"grid {text!r} is not start:stop:step or v1,v2,...") from None
+    if not is_range:
+        return numbers
+    if len(numbers) != 3:
+        raise ScenarioError(f"expected start:stop:step, got {text!r}")
+    start, stop, step = numbers
+    if not step > 0:
+        raise ScenarioError(f"step must be > 0, got {text!r}")
+    span = (stop - start) / step
+    if not math.isfinite(span):
+        raise ScenarioError(f"grid {text!r} has no finite point count")
+    n = int(round(span))
+    if n + 1 > MAX_SWEEP_ROWS:
+        raise ScenarioError(f"grid {text!r} has {n + 1:,} points, more than {MAX_SWEEP_ROWS:,}")
+    values = [start + k * step for k in range(n + 1)]
+    return [v for v in values if v <= stop + 1e-12]
 
 
 def _cmd_simulate(args) -> int:
@@ -66,8 +81,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_theory_sweep(args) -> int:
+    grids = [_parse_grid(g) for g in (args.alpha_grid, args.prior_grid, args.lambda_grid, args.gamma_grid)]
     try:
-        result = theory_sweep(args.alpha_grid, args.prior_grid, args.lambda_grid, args.gamma_grid)
+        result = theory_sweep(*grids)
     except ParameterError as exc:  # the grids come only from the flags
         raise ScenarioError(str(exc)) from exc
     os.makedirs(args.out, exist_ok=True)
@@ -163,14 +179,11 @@ def main(argv=None) -> int:
 
     sweep = sub.add_parser("theory-sweep", help="tabulate the behavioral information gain")
     sweep.add_argument("--out", required=True)
-    sweep.add_argument("--alpha-grid", dest="alpha_grid", type=_parse_grid,
-                       default=[0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0])
-    sweep.add_argument("--prior-grid", dest="prior_grid", type=_parse_grid,
-                       default=_parse_grid("0.05:0.95:0.05"))
-    sweep.add_argument("--lambda-grid", dest="lambda_grid", type=_parse_grid,
-                       default=_parse_grid("0.70:0.99:0.01"))
-    sweep.add_argument("--gamma-grid", dest="gamma_grid", type=_parse_grid,
-                       default=_parse_grid("0.01:0.30:0.01"))
+    # grids are parsed by _parse_grid when the command runs, so a bad one is one error line
+    sweep.add_argument("--alpha-grid", dest="alpha_grid", default="0.25,0.5,0.75,1.0,1.5,2.0,3.0")
+    sweep.add_argument("--prior-grid", dest="prior_grid", default="0.05:0.95:0.05")
+    sweep.add_argument("--lambda-grid", dest="lambda_grid", default="0.70:0.99:0.01")
+    sweep.add_argument("--gamma-grid", dest="gamma_grid", default="0.01:0.30:0.01")
     sweep.set_defaults(func=_cmd_theory_sweep)
 
     oracle = sub.add_parser("oracle-check", help="run brute-force consistency checks")

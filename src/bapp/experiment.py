@@ -8,6 +8,7 @@ order, and aggregation is independent of the worker count.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -21,6 +22,7 @@ from .sim import MissionConfig, TrialMetrics, run_trial
 __all__ = [
     "ExperimentResult",
     "TheorySweepResult",
+    "MAX_SWEEP_ROWS",
     "run_experiment",
     "theory_sweep",
     "write_deployments_csv",
@@ -33,6 +35,10 @@ __all__ = [
 
 DEPLOYMENT_COLUMNS = "trial,d,strategy,agent_class,alpha_used,theta,entropy_bits,cum_losses"
 THEORY_COLUMNS = "alpha,p,lambda,gamma,delta_i,delta_h_obs"
+
+# bound on the rows of one theory sweep, the product of its four grid sizes:
+# theory_sweep broadcasts delta_mi over all of them at once
+MAX_SWEEP_ROWS = 1_000_000
 
 
 def fmt9(x: float) -> str:
@@ -203,13 +209,14 @@ def theory_sweep(alpha_grid, prior_grid, lambda_grid, gamma_grid) -> TheorySweep
     surface, and the zero-gain contour of the averaged surface (linear
     interpolation between adjacent prior grid points with a sign change).
     """
-    a = np.asarray(list(alpha_grid), dtype=float)
-    p = np.asarray(list(prior_grid), dtype=float)
-    lam = np.asarray(list(lambda_grid), dtype=float)
-    gam = np.asarray(list(gamma_grid), dtype=float)
-    for name, g in (("alpha", a), ("prior", p), ("lambda", lam), ("gamma", gam)):
-        if g.size == 0:
+    grids = [list(g) for g in (alpha_grid, prior_grid, lambda_grid, gamma_grid)]
+    for name, g in zip(("alpha", "prior", "lambda", "gamma"), grids):
+        if not g:
             raise ParameterError(f"{name} grid is empty")
+    rows = math.prod(map(len, grids))
+    if rows > MAX_SWEEP_ROWS:
+        raise ParameterError(f"the sweep has {rows:,} rows, more than {MAX_SWEEP_ROWS:,}")
+    a, p, lam, gam = (np.asarray(g, dtype=float) for g in grids)
     terms = delta_mi(
         p[None, :, None, None],
         lam[None, None, :, None],

@@ -104,7 +104,7 @@ class MissionConfig:
         if self.high_fidelity is None:
             object.__setattr__(self, "high_fidelity",
                                AgentSpec(0.01, 2 * self.team_size))
-        if self.disposable.stock + self.high_fidelity.stock < 1:
+        if sum(agent.stock for agent in self.agents.values()) < 1:
             raise ScenarioError("the fleet needs at least one robot in stock")
         if self.base_cell is not None and not self.dims.contains(self.base_cell):
             raise ScenarioError(f"base cell {self.base_cell} outside grid")
@@ -119,11 +119,14 @@ class MissionConfig:
             return self.base_cell
         return self.dims.to_cell(self.dims.rows // 2, self.dims.cols // 2)
 
+    @property
+    def agents(self) -> dict:
+        """Each agent class's AgentSpec."""
+        return {AgentClass.DISPOSABLE: self.disposable, AgentClass.HIGH_FIDELITY: self.high_fidelity}
+
     def channels(self) -> dict:
-        return {
-            AgentClass.DISPOSABLE: BinaryChannel(self.lethality, self.disposable.malfunction_rate),
-            AgentClass.HIGH_FIDELITY: BinaryChannel(self.lethality, self.high_fidelity.malfunction_rate),
-        }
+        return {cls: BinaryChannel(self.lethality, agent.malfunction_rate)
+                for cls, agent in self.agents.items()}
 
 
 class DeploymentRecord(NamedTuple):
@@ -271,14 +274,10 @@ def run_trial(config: MissionConfig, trial: int) -> TrialMetrics:
     h = global_entropy(belief)  # always the entropy of `belief`
     base = config.start_cell
     n = config.team_size
-    fleet = FleetState(
-        r_total=config.disposable.stock + config.high_fidelity.stock,
-        disposable_remaining=config.disposable.stock,
-        high_fidelity_remaining=config.high_fidelity.stock,
-        entropy_history=[h],
-    )
+    agents = config.agents
+    stock = {cls: agent.stock for cls, agent in agents.items()}
+    fleet = FleetState(r_total=sum(stock.values()), stock=stock, entropy_history=[h])
     channels = config.channels()
-    specs = {AgentClass.DISPOSABLE: config.disposable, AgentClass.HIGH_FIDELITY: config.high_fidelity}
 
     records = []
     loss_series = [0]
@@ -300,16 +299,11 @@ def run_trial(config: MissionConfig, trial: int) -> TrialMetrics:
         for sector, (cls, traj, alpha_used) in enumerate(plan_round(
                 config.strategy, fleet, belief, base, config.plan, channels,
                 sector_masks(base, dims, n), sig=config.sig, trigger=config.trigger, words=words)):
-            theta, fail_step = execute_deployment(truth, traj, specs[cls], failures[sector])
-            if theta == 1:
-                fleet.r_lost += 1
-                if cls is AgentClass.DISPOSABLE:
-                    fleet.disposable_remaining -= 1
-                else:
-                    fleet.high_fidelity_remaining -= 1
-                belief = update_on_failure(belief, traj.cells, channels[cls])
-            else:
-                belief = update_on_success(belief, traj.cells, channels[cls])
+            theta, fail_step = execute_deployment(truth, traj, agents[cls], failures[sector])
+            fleet.r_lost += theta
+            fleet.stock[cls] -= theta
+            update = update_on_failure if theta else update_on_success
+            belief = update(belief, traj.cells, channels[cls])
             h = global_entropy(belief)
             records.append(DeploymentRecord(
                 trial=trial, round_index=d, sector=sector, agent_class=cls,

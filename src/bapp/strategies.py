@@ -121,11 +121,13 @@ class TriggerPolicy:
 @dataclass
 class FleetState:
     """The one record of a mission's fleet: the strategies read it, run_trial
-    updates it and reports stock, losses, rounds and entropy from it."""
+    updates it and reports stock, losses, rounds and entropy from it.
+
+    stock maps each agent class to its robots left to deploy; r_total is
+    the initial stock of all classes."""
 
     r_total: int
-    disposable_remaining: int
-    high_fidelity_remaining: int
+    stock: dict
     r_lost: int = 0
     deployment_index: int = 0
     entropy_history: list = field(default_factory=list)
@@ -136,19 +138,12 @@ class FleetState:
 
     @property
     def in_stock(self) -> int:
-        """Robots of either class left to deploy."""
-        return self.disposable_remaining + self.high_fidelity_remaining
-
-    def remaining(self, cls: AgentClass) -> int:
-        if cls is AgentClass.DISPOSABLE:
-            return self.disposable_remaining
-        return self.high_fidelity_remaining
+        """Robots of every class left to deploy."""
+        return sum(self.stock.values())
 
 
 def sig_alpha(fleet: FleetState, policy: SigPolicy) -> float:
     """Linear interpolation of alpha between the policy bounds by loss fraction."""
-    if fleet.r_total < 1:
-        raise ParameterError("fleet total must be >= 1")
     frac = fleet.r_lost / fleet.r_total
     a = policy.alpha_min + (policy.alpha_max - policy.alpha_min) * frac
     return min(max(a, policy.alpha_min), policy.alpha_max)
@@ -191,7 +186,7 @@ def tid_should_trigger(fleet: FleetState, policy: TriggerPolicy) -> bool:
     The drop is H_{d-window} - H_d, referenced to H_0 while d < window.
     Never triggers once the high-fidelity stock is gone.
     """
-    if fleet.high_fidelity_remaining <= 0:
+    if fleet.stock[AgentClass.HIGH_FIDELITY] <= 0:
         return False
     hist = fleet.entropy_history
     if not hist:
@@ -207,12 +202,12 @@ def tid_should_trigger(fleet: FleetState, policy: TriggerPolicy) -> bool:
 
 
 def _pick_class(fleet: FleetState, preferred: AgentClass) -> AgentClass:
-    """Preferred class if stocked, otherwise the other; error when both empty."""
-    if fleet.remaining(preferred) > 0:
+    """Preferred class if stocked, otherwise the first stocked one; error when none is."""
+    if fleet.stock[preferred] > 0:
         return preferred
-    other = AgentClass.HIGH_FIDELITY if preferred is AgentClass.DISPOSABLE else AgentClass.DISPOSABLE
-    if fleet.remaining(other) > 0:
-        return other
+    for cls, left in fleet.stock.items():
+        if left > 0:
+            return cls
     raise FleetExhaustedError("no agents left to deploy")
 
 
@@ -228,11 +223,9 @@ def deployment_decision(strategy: StrategyKind, fleet: FleetState,
     if strategy is StrategyKind.BAPP_TID:
         if trigger is None:
             raise ParameterError("bapp-tid needs a TriggerPolicy")
-        if tid_should_trigger(fleet, trigger):
-            cls = _pick_class(fleet, AgentClass.HIGH_FIDELITY)
-            return cls, trigger.alpha_hf if cls is AgentClass.HIGH_FIDELITY else trigger.alpha_explore
-        cls = _pick_class(fleet, AgentClass.DISPOSABLE)
-        return cls, trigger.alpha_explore if cls is AgentClass.DISPOSABLE else trigger.alpha_hf
+        hf = AgentClass.HIGH_FIDELITY
+        cls = _pick_class(fleet, hf if tid_should_trigger(fleet, trigger) else AgentClass.DISPOSABLE)
+        return cls, trigger.alpha_hf if cls is hf else trigger.alpha_explore
     raise ParameterError(f"no fixed (class, alpha) decision for {strategy!r}")
 
 

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bapp import cli
 from bapp.cli import main
-from bapp.errors import ScenarioError
+from bapp.errors import ParameterError, ScenarioError
+from bapp.experiment import MAX_SWEEP_ROWS, theory_sweep
 from bapp.scenario import builtin_scenarios, load_scenario, scenario_to_text
 from bapp.sim import MissionConfig
 from bapp.strategies import MAX_SWEEP_STEPS, sig_sweep_grid
@@ -94,6 +96,15 @@ def test_fuzzed_scenario_loads_or_raises_scenario_error(tmp_path_factory, entrie
     pytest.param(["--alpha-grid", "0,1"], id="alpha-0"),
     pytest.param(["--alpha-grid", ","], id="alpha-empty"),
     pytest.param(["--prior-grid", "1.5"], id="prior-above-1"),
+    pytest.param(["--alpha-grid", "0:inf:1"], id="count-infinite"),
+    pytest.param(["--alpha-grid", "0:1:1e-320"], id="count-overflows"),
+    pytest.param(["--alpha-grid", "0:1:0"], id="step-0"),
+    pytest.param(["--alpha-grid", "0.5:x:1"], id="not-a-number"),
+    # counted, not built: a billion points
+    pytest.param(["--gamma-grid", "0:1:1e-9"], id="grid-over-limit"),
+    # 1,000 x 999 x 30 x 30 rows, each grid well under the limit
+    pytest.param(["--alpha-grid", "0.01:10:0.01", "--prior-grid", "0.001:0.999:0.001"],
+                 id="product-over-limit"),
 ])
 def test_bad_theory_sweep_flag_exits_2(tmp_path, capsys, flags):
     out = tmp_path / "out"
@@ -102,6 +113,19 @@ def test_bad_theory_sweep_flag_exits_2(tmp_path, capsys, flags):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
     assert not (out / "theory_sweep.csv").exists()
+
+
+def test_grid_point_count_is_bounded_before_the_points_are_made(monkeypatch):
+    monkeypatch.setattr(cli, "MAX_SWEEP_ROWS", 10)
+    assert cli._parse_grid("0:9:1") == [float(k) for k in range(10)]
+    with pytest.raises(ScenarioError, match="11 points, more than 10"):
+        cli._parse_grid("0:10:1")
+
+
+def test_sweep_rows_are_bounded_before_any_array_is_built():
+    # the product of four small grids: 1,001 x 1,000 rows
+    with pytest.raises(ParameterError, match=f"1,001,000 rows, more than {MAX_SWEEP_ROWS:,}"):
+        theory_sweep([1.0] * 1001, [0.5] * 1000, [0.9], [0.1])
 
 
 @pytest.mark.parametrize("flags", [

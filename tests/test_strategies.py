@@ -10,7 +10,7 @@ from bapp.errors import FleetExhaustedError, ParameterError
 from bapp.info_measures import BinaryChannel, MiForm
 from bapp.planner import PlanConfig, plan_path, score_path
 from bapp.strategies import (AgentClass, FleetState, SigPolicy, StrategyKind, TriggerPolicy,
-                             plan_round, select_deployment, sig_alpha, sig_select_path, sig_sweep_grid,
+                             deployment_decision, plan_round, select_deployment, sig_alpha, sig_select_path, sig_sweep_grid,
                              tid_should_trigger)
 from test_planner import words_of
 
@@ -18,8 +18,9 @@ CH = BinaryChannel(0.7, 0.1)
 CHANNELS = {AgentClass.DISPOSABLE: CH, AgentClass.HIGH_FIDELITY: BinaryChannel(0.7, 0.01)}
 
 
-def fleet(r_lost=0, disp=10, hf=5, d=0, hist=None):
-    return FleetState(r_total=disp + hf, disposable_remaining=disp, high_fidelity_remaining=hf,
+def fleet(r_lost=0, disp=10, hf=5, d=0, hist=None, total=None):
+    return FleetState(r_total=disp + hf if total is None else total,
+                      stock={AgentClass.DISPOSABLE: disp, AgentClass.HIGH_FIDELITY: hf},
                       r_lost=r_lost, deployment_index=d,
                       entropy_history=list(hist) if hist is not None else [1.0])
 
@@ -32,7 +33,8 @@ class TestSigAlpha:
         assert sig_alpha(fleet(15), SigPolicy(0.5, 1.5)) == 1.5
 
     def test_midpoint(self):
-        f = FleetState(r_total=10, disposable_remaining=5, high_fidelity_remaining=0, r_lost=5)
+        f = FleetState(r_total=10, stock={AgentClass.DISPOSABLE: 5, AgentClass.HIGH_FIDELITY: 0},
+                       r_lost=5)
         assert sig_alpha(f, SigPolicy(0.5, 1.5)) == pytest.approx(1.0)
 
     def test_monotone_and_bounded(self):
@@ -43,7 +45,7 @@ class TestSigAlpha:
 
     def test_invalid_fleet(self):
         with pytest.raises(ParameterError):
-            FleetState(r_total=0, disposable_remaining=0, high_fidelity_remaining=0)
+            FleetState(r_total=0, stock={AgentClass.DISPOSABLE: 0, AgentClass.HIGH_FIDELITY: 0})
 
 
 class TestSweepGrid:
@@ -152,6 +154,57 @@ class TestTidTrigger:
         assert not tid_should_trigger(f60, pol)
 
 
+DISP, HF = AgentClass.DISPOSABLE, AgentClass.HIGH_FIDELITY
+TRIGGER = TriggerPolicy(window=2, theta_early=0.05, phase_switch=10, alpha_explore=1.2, alpha_hf=0.8)
+
+
+class TestDeploymentDecision:
+    """The whole (class, alpha) table of std-itp and bapp-tid: trigger condition
+    met or not (flat or falling entropy), high-fidelity and disposable stock
+    empty or not. None means the fleet is empty."""
+
+    @pytest.mark.parametrize("strategy, stagnant, hf, disp, want", [
+        (StrategyKind.STD_ITP, False, 0, 0, None),
+        (StrategyKind.STD_ITP, False, 0, 3, (DISP, 1.0)),
+        (StrategyKind.STD_ITP, False, 2, 0, (HF, 1.0)),
+        (StrategyKind.STD_ITP, False, 2, 3, (DISP, 1.0)),
+        (StrategyKind.STD_ITP, True, 0, 0, None),
+        (StrategyKind.STD_ITP, True, 0, 3, (DISP, 1.0)),
+        (StrategyKind.STD_ITP, True, 2, 0, (HF, 1.0)),
+        (StrategyKind.STD_ITP, True, 2, 3, (DISP, 1.0)),
+        (StrategyKind.BAPP_TID, False, 0, 0, None),
+        (StrategyKind.BAPP_TID, False, 0, 3, (DISP, 1.2)),
+        (StrategyKind.BAPP_TID, False, 2, 0, (HF, 0.8)),
+        (StrategyKind.BAPP_TID, False, 2, 3, (DISP, 1.2)),
+        (StrategyKind.BAPP_TID, True, 0, 0, None),
+        (StrategyKind.BAPP_TID, True, 0, 3, (DISP, 1.2)),
+        (StrategyKind.BAPP_TID, True, 2, 0, (HF, 0.8)),
+        (StrategyKind.BAPP_TID, True, 2, 3, (HF, 0.8)),
+    ])
+    def test_table(self, strategy, stagnant, hf, disp, want):
+        hist = [1.0, 0.999, 0.998] if stagnant else [1.0, 0.9, 0.8]
+        f = fleet(r_lost=5 - hf - disp, disp=disp, hf=hf, d=2, hist=hist, total=5)
+        if want is None:
+            with pytest.raises(FleetExhaustedError):
+                deployment_decision(strategy, f, TRIGGER)
+        else:
+            assert deployment_decision(strategy, f, TRIGGER) == want
+
+    def test_stagnant_history_meets_the_trigger_condition(self):
+        # the trigger fires on the stagnant history, and not on the falling one
+        assert tid_should_trigger(fleet(d=2, hist=[1.0, 0.999, 0.998]), TRIGGER)
+        assert not tid_should_trigger(fleet(d=2, hist=[1.0, 0.9, 0.8]), TRIGGER)
+
+    def test_other_strategies_have_no_table(self):
+        for strategy in (StrategyKind.RANDOM, StrategyKind.BAPP_SIG):
+            with pytest.raises(ParameterError):
+                deployment_decision(strategy, fleet(), TRIGGER)
+
+    def test_tid_needs_a_trigger_policy(self):
+        with pytest.raises(ParameterError, match="TriggerPolicy"):
+            deployment_decision(StrategyKind.BAPP_TID, fleet(), None)
+
+
 class TestSelectDeployment:
     def setup_method(self):
         self.belief = init_uniform(GridDims(4, 4))
@@ -200,7 +253,7 @@ class TestSelectDeployment:
         assert cls is AgentClass.HIGH_FIDELITY
 
     def test_exhausted_fleet_signals_mission_over(self):
-        f = FleetState(r_total=10, disposable_remaining=0, high_fidelity_remaining=0,
+        f = FleetState(r_total=10, stock={AgentClass.DISPOSABLE: 0, AgentClass.HIGH_FIDELITY: 0},
                        r_lost=10, entropy_history=[1.0])
         with pytest.raises(FleetExhaustedError):
             select_deployment(StrategyKind.STD_ITP, f, self.belief, 5, self.plan, CHANNELS)
@@ -218,10 +271,7 @@ class TestPlanRound:
     @staticmethod
     def lose(f, cls):
         f.r_lost += 1
-        if cls is AgentClass.DISPOSABLE:
-            f.disposable_remaining -= 1
-        else:
-            f.high_fidelity_remaining -= 1
+        f.stock[cls] -= 1
 
     def test_loss_between_sig_sectors_changes_alpha(self):
         pol = SigPolicy(0.5, 1.5, sweep_halfwidth=0.0)
@@ -268,7 +318,7 @@ class TestPlanRound:
 
     @pytest.mark.parametrize("strategy", list(StrategyKind))
     def test_select_deployment_on_empty_fleet_raises(self, strategy):
-        f = FleetState(r_total=4, disposable_remaining=0, high_fidelity_remaining=0,
+        f = FleetState(r_total=4, stock={AgentClass.DISPOSABLE: 0, AgentClass.HIGH_FIDELITY: 0},
                        r_lost=4, entropy_history=[1.0])
         with pytest.raises(FleetExhaustedError):
             select_deployment(strategy, f, self.belief, 5, self.plan, CHANNELS, sig=SigPolicy(),
