@@ -11,6 +11,7 @@ highest average nearby entropy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -27,7 +28,6 @@ __all__ = [
     "radial_partition",
     "sector_masks",
     "regional_entropy",
-    "reachable_cells",
     "select_base_site",
 ]
 
@@ -48,9 +48,7 @@ class RelocationPolicy:
             raise ParameterError("cadence must be >= 1")
 
 
-_SECTOR_CACHE: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _offset_tables(dims: GridDims, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Sector id and squared distance of every (row, col) offset from a base.
 
@@ -60,20 +58,15 @@ def _offset_tables(dims: GridDims, n: int) -> tuple[np.ndarray, np.ndarray]:
     starts at (rows - 1 - br, cols - 1 - bc). Offset (0, 0) has angle 0 and
     so lands in sector 0, which puts the base cell there.
     """
-    key = (dims.rows, dims.cols, n)
-    entry = _SECTOR_CACHE.get(key)
-    if entry is None:
-        dr = np.arange(-(dims.rows - 1), dims.rows)[:, None]
-        dc = np.arange(-(dims.cols - 1), dims.cols)[None, :]
-        theta = np.arctan2(dr, dc)
-        theta = np.mod(theta, 2.0 * math.pi)
-        sectors = np.minimum((n * theta / (2.0 * math.pi)).astype(int), n - 1)
-        dist2 = dr ** 2 + dc ** 2
-        sectors.setflags(write=False)
-        dist2.setflags(write=False)
-        entry = (sectors, dist2)
-        _SECTOR_CACHE[key] = entry
-    return entry
+    dr = np.arange(-(dims.rows - 1), dims.rows)[:, None]
+    dc = np.arange(-(dims.cols - 1), dims.cols)[None, :]
+    theta = np.arctan2(dr, dc)
+    theta = np.mod(theta, 2.0 * math.pi)
+    sectors = np.minimum((n * theta / (2.0 * math.pi)).astype(int), n - 1)
+    dist2 = dr ** 2 + dc ** 2
+    sectors.setflags(write=False)
+    dist2.setflags(write=False)
+    return sectors, dist2
 
 
 def _window(table: np.ndarray, dims: GridDims, cell: int) -> np.ndarray:
@@ -133,20 +126,15 @@ def regional_entropy(belief: BeliefMap, candidate: int, policy: RelocationPolicy
     return means, float(means.mean())
 
 
-def reachable_cells(belief: BeliefMap, start: int, safety_threshold: float) -> np.ndarray:
+def _reach(belief: BeliefMap, start: int, safety_threshold: float,
+           targets: Optional[np.ndarray] = None) -> np.ndarray:
     """Cells reachable from start by 8-connected moves through sub-threshold cells.
 
     Returns a boolean mask over the grid, all False when start itself is at
-    or above the threshold.
+    or above the threshold. Given target cells, only the mask's entries at
+    the targets are exact, as the search stops once every sub-threshold
+    target has been reached.
     """
-    return _reach(belief, start, safety_threshold)
-
-
-def _reach(belief: BeliefMap, start: int, safety_threshold: float,
-           targets: Optional[np.ndarray] = None) -> np.ndarray:
-    """reachable_cells' mask; given target cells, only its entries at the
-    targets are exact, as the search stops once every sub-threshold target
-    has been reached."""
     dims = belief.dims
     if not dims.contains(start):
         raise ParameterError(f"cell {start} outside grid")

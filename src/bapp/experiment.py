@@ -46,6 +46,12 @@ def fmt9(x: float) -> str:
     return format(float(x), ".9g")
 
 
+def _write_lines(path: str, lines: list) -> None:
+    """Write `lines` to a text file, each ended by a newline."""
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
 @dataclass
 class ExperimentResult:
     config: MissionConfig
@@ -126,8 +132,7 @@ def write_deployments_csv(path: str, results: Sequence[ExperimentResult]) -> Non
                     fmt9(rec.entropy_bits),
                     str(rec.cum_losses),
                 ]))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_bases_csv(path: str, results: Sequence[ExperimentResult]) -> None:
@@ -137,8 +142,7 @@ def write_bases_csv(path: str, results: Sequence[ExperimentResult]) -> None:
         for tm in res.trials:
             for d, cell in enumerate(tm.base_track, start=1):
                 lines.append(f"{tm.trial},{d},{name},{cell}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_paths_csv(path: str, results: Sequence[ExperimentResult]) -> None:
@@ -149,8 +153,7 @@ def write_paths_csv(path: str, results: Sequence[ExperimentResult]) -> None:
             for rec in tm.records:
                 cells = ";".join(str(c) for c in rec.trajectory.cells)
                 lines.append(f"{rec.trial},{rec.round_index},{name},{rec.sector},{rec.trajectory.start},{cells}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def _round9(x: float) -> float:
@@ -254,8 +257,7 @@ def write_theory_csvs(out_dir: str, result: TheorySweepResult) -> None:
                         fmt9(a[i]), fmt9(p[j]), fmt9(lam[k]), fmt9(gam[m]),
                         fmt9(result.delta_i[i, j, k, m]), fmt9(result.delta_h_obs[i, j, k, m]),
                     ]))
-    with open(os.path.join(out_dir, "theory_sweep.csv"), "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_lines(os.path.join(out_dir, "theory_sweep.csv"), lines)
 
     lines = ["alpha,p,mean_delta_i,mean_delta_h_obs"]
     for i in range(a.size):
@@ -263,11 +265,9 @@ def write_theory_csvs(out_dir: str, result: TheorySweepResult) -> None:
             lines.append(",".join([
                 fmt9(a[i]), fmt9(p[j]), fmt9(result.avg_delta_i[i, j]), fmt9(result.avg_delta_h[i, j]),
             ]))
-    with open(os.path.join(out_dir, "theory_sweep_avg.csv"), "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_lines(os.path.join(out_dir, "theory_sweep_avg.csv"), lines)
 
     lines = ["alpha,p_zero"]
     for alpha, pz in result.zero_contour:
         lines.append(f"{fmt9(alpha)},{fmt9(pz)}")
-    with open(os.path.join(out_dir, "theory_contour.csv"), "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_lines(os.path.join(out_dir, "theory_contour.csv"), lines)

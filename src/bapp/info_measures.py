@@ -31,6 +31,7 @@ __all__ = [
     "BehaviorParams",
     "BinaryChannel",
     "MiForm",
+    "MAX_ALPHA",
     "AlphaSearchResult",
     "DeltaMiTerms",
     "prelec_weight",
@@ -46,6 +47,12 @@ __all__ = [
 
 _SUM_TOL = 1e-9
 
+# the largest valid alpha. Prelec's weight is defined for every alpha > 0,
+# but in float64 its exponent beta * (-ln p) ** alpha overflows from about
+# alpha = 107 at the smallest p; up to here every measure is finite for
+# every p in [0, 1]
+MAX_ALPHA = 100.0
+
 
 @dataclass(frozen=True)
 class BehaviorParams:
@@ -56,10 +63,9 @@ class BehaviorParams:
     beta: float = field(init=False)
 
     def __post_init__(self):
-        if not (isinstance(self.alpha, (int, float)) and math.isfinite(self.alpha)):
-            raise ParameterError(f"alpha must be finite, got {self.alpha!r}")
-        if self.alpha <= 0.0:
-            raise ParameterError(f"alpha must be > 0, got {self.alpha}")
+        if not isinstance(self.alpha, (int, float)):
+            raise ParameterError(f"alpha must be a number, got {self.alpha!r}")
+        _check_alpha(self.alpha)
         if self.support_size < 2:
             raise ParameterError(f"support size must be >= 2, got {self.support_size}")
         beta = math.exp((1.0 - self.alpha) * math.log(math.log(self.support_size)))
@@ -122,10 +128,11 @@ def _as_prob(p, name="p"):
 
 
 def _check_alpha(alpha):
+    """alpha as a float array; a ParameterError unless every entry is in (0, MAX_ALPHA]."""
     arr = np.asarray(alpha, dtype=float)
-    bad = ~(np.isfinite(arr) & (arr > 0.0))
+    bad = ~((arr > 0.0) & (arr <= MAX_ALPHA))  # NaN fails both comparisons
     if np.any(bad):
-        raise ParameterError(f"alpha must be finite and > 0, got {float(arr[bad].flat[0])}")
+        raise ParameterError(f"alpha must be in (0, {MAX_ALPHA:g}], got {float(arr[bad].flat[0])}")
     return arr
 
 

@@ -30,19 +30,29 @@ __all__ = [
 ]
 
 
-def outcome_probability(priors: Sequence[float], channel: BinaryChannel, theta: int) -> float:
-    """P(theta) for one deployment over independent cells, by enumeration."""
+def _enumerate(priors: Sequence[float], channel: BinaryChannel, theta: int) -> tuple[float, np.ndarray]:
+    """P(theta) and each cell's P(X_i = 1, theta) for one deployment over
+    independent cells, summed over every hazard configuration of the cells."""
     priors = list(priors)
-    k = len(priors)
-    total = 0.0
-    for config in itertools.product((0, 1), repeat=k):
+    evidence = 0.0
+    mass = np.zeros(len(priors))
+    for config in itertools.product((0, 1), repeat=len(priors)):
         weight = 1.0
         survive = 1.0
         for p, x in zip(priors, config):
             weight *= p if x else (1.0 - p)
             survive *= (1.0 - channel.tpr) if x else (1.0 - channel.fpr)
-        total += weight * (survive if theta == 0 else 1.0 - survive)
-    return total
+        joint = weight * (survive if theta == 0 else 1.0 - survive)
+        evidence += joint
+        for i, x in enumerate(config):
+            if x:
+                mass[i] += joint
+    return evidence, mass
+
+
+def outcome_probability(priors: Sequence[float], channel: BinaryChannel, theta: int) -> float:
+    """P(theta) for one deployment over independent cells, by enumeration."""
+    return _enumerate(priors, channel, theta)[0]
 
 
 def posterior_by_enumeration(priors: Sequence[float], channel: BinaryChannel,
@@ -52,21 +62,7 @@ def posterior_by_enumeration(priors: Sequence[float], channel: BinaryChannel,
     Enumerates every hazard configuration of the distinct visited cells and
     weighs it by the probability of the observed outcome.
     """
-    priors = list(priors)
-    k = len(priors)
-    evidence = 0.0
-    mass = np.zeros(k)
-    for config in itertools.product((0, 1), repeat=k):
-        weight = 1.0
-        survive = 1.0
-        for p, x in zip(priors, config):
-            weight *= p if x else (1.0 - p)
-            survive *= (1.0 - channel.tpr) if x else (1.0 - channel.fpr)
-        like = survive if theta == 0 else 1.0 - survive
-        evidence += weight * like
-        for i, x in enumerate(config):
-            if x:
-                mass[i] += weight * like
+    evidence, mass = _enumerate(priors, channel, theta)
     if evidence <= 0.0:
         raise ZeroDivisionError("observation impossible under this belief")
     return mass / evidence

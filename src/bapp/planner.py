@@ -35,9 +35,7 @@ __all__ = [
     "per_cell_gain",
 ]
 
-_NEIGHBOR_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
+@functools.cache
 def _neighbor_table(dims: GridDims) -> np.ndarray:
     """All 9-connected successors per cell (self included), ascending order.
 
@@ -45,19 +43,15 @@ def _neighbor_table(dims: GridDims) -> np.ndarray:
     n_cells for the missing moves, and the extra row n_cells is all padding,
     so the padding cell only ever leads to itself.
     """
-    key = (dims.rows, dims.cols)
-    table = _NEIGHBOR_CACHE.get(key)
-    if table is None:
-        rows, cols = key
-        n = rows * cols
-        table = np.full((n + 1, 9), n, dtype=np.intp)
-        for cell in range(n):
-            r, c = divmod(cell, cols)
-            row = [rr * cols + cc for rr in (r - 1, r, r + 1) for cc in (c - 1, c, c + 1)
-                   if 0 <= rr < rows and 0 <= cc < cols]
-            table[cell, :len(row)] = row
-        table.setflags(write=False)
-        _NEIGHBOR_CACHE[key] = table
+    rows, cols = dims.rows, dims.cols
+    n = rows * cols
+    table = np.full((n + 1, 9), n, dtype=np.intp)
+    for cell in range(n):
+        r, c = divmod(cell, cols)
+        row = [rr * cols + cc for rr in (r - 1, r, r + 1) for cc in (c - 1, c, c + 1)
+               if 0 <= rr < rows and 0 <= cc < cols]
+        table[cell, :len(row)] = row
+    table.setflags(write=False)
     return table
 
 

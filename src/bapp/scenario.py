@@ -38,9 +38,9 @@ _SCHEMA = {
     "base_cell": (str, "center"),  # "center" or an integer cell index
     # agents
     "disposable_gamma": (float, 0.10),
-    "disposable_stock": (int, -1),  # -1: budget * team_size
+    "disposable_stock": (int, -1),  # -1: MissionConfig's default stock
     "highfid_gamma": (float, 0.01),
-    "highfid_stock": (int, -1),     # -1: 2 * team_size
+    "highfid_stock": (int, -1),     # -1: MissionConfig's default stock
     # planner
     "beam_width": (int, 64),
     "mi_form": (str, "posterior"),  # "posterior" | "channel"
@@ -115,13 +115,9 @@ def _config_from_values(values: dict) -> tuple[MissionConfig, int]:
         raise ScenarioError(f"trials must be >= 1, got {values['trials']}")
 
     budget = values["deployment_budget"]
-    team = values["team_size"]
-    disp_stock = values["disposable_stock"]
-    if disp_stock < 0:
-        disp_stock = budget * team
-    hf_stock = values["highfid_stock"]
-    if hf_stock < 0:
-        hf_stock = 2 * team
+    # a negative stock is the class's default, which MissionConfig fills in
+    disp_stock, hf_stock = (None if values[key] < 0 else values[key]
+                            for key in ("disposable_stock", "highfid_stock"))
     phase_switch = values["tid_phase_switch"]
     if phase_switch < 0:
         try:
@@ -143,7 +139,7 @@ def _config_from_values(values: dict) -> tuple[MissionConfig, int]:
             dims=GridDims(values["rows"], values["cols"]),
             lethality=values["lethality"],
             hazard_density=values["hazard_density"],
-            team_size=team,
+            team_size=values["team_size"],
             deployment_budget=budget,
             strategy=strategy,
             master_seed=values["master_seed"],

@@ -15,7 +15,7 @@ seed_stream's generators would give.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -57,15 +57,18 @@ def seed_stream(master_seed: int, *key: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class AgentSpec:
-    """Malfunction rate and stock of the agent class named by its MissionConfig slot."""
+    """Malfunction rate and stock of the agent class named by its MissionConfig slot.
+
+    A stock of None is the class's default, which MissionConfig fills in
+    when it is built."""
 
     malfunction_rate: float
-    stock: int
+    stock: Optional[int]
 
     def __post_init__(self):
         if not (0.0 <= self.malfunction_rate < 1.0):
             raise ParameterError("malfunction rate must be in [0, 1)")
-        if self.stock < 0:
+        if self.stock is not None and self.stock < 0:
             raise ParameterError("stock must be >= 0")
 
 
@@ -78,8 +81,8 @@ class MissionConfig:
     deployment_budget: int = 40
     strategy: StrategyKind = StrategyKind.STD_ITP
     master_seed: int = 0
-    disposable: AgentSpec = field(default=None)  # filled in __post_init__
-    high_fidelity: AgentSpec = field(default=None)
+    disposable: AgentSpec = AgentSpec(0.10, None)
+    high_fidelity: AgentSpec = AgentSpec(0.01, None)
     plan: PlanConfig = field(default_factory=PlanConfig)
     sig: SigPolicy = field(default_factory=SigPolicy)
     trigger: TriggerPolicy = field(default_factory=TriggerPolicy)
@@ -98,12 +101,11 @@ class MissionConfig:
             raise ScenarioError(f"hazard density must be in [0, 1), got {self.hazard_density}")
         if self.master_seed < 0:
             raise ScenarioError(f"master seed must be >= 0, got {self.master_seed}")
-        if self.disposable is None:
-            object.__setattr__(self, "disposable",
-                               AgentSpec(0.10, self.deployment_budget * self.team_size))
-        if self.high_fidelity is None:
-            object.__setattr__(self, "high_fidelity",
-                               AgentSpec(0.01, 2 * self.team_size))
+        # a default stock is fixed here: replace() keeps the filled-in count
+        for slot, stock in (("disposable", self.deployment_budget * self.team_size),
+                            ("high_fidelity", 2 * self.team_size)):
+            if getattr(self, slot).stock is None:
+                object.__setattr__(self, slot, replace(getattr(self, slot), stock=stock))
         if sum(agent.stock for agent in self.agents.values()) < 1:
             raise ScenarioError("the fleet needs at least one robot in stock")
         if self.base_cell is not None and not self.dims.contains(self.base_cell):
@@ -275,8 +277,7 @@ def run_trial(config: MissionConfig, trial: int) -> TrialMetrics:
     base = config.start_cell
     n = config.team_size
     agents = config.agents
-    stock = {cls: agent.stock for cls, agent in agents.items()}
-    fleet = FleetState(r_total=sum(stock.values()), stock=stock, entropy_history=[h])
+    fleet = FleetState(stock={cls: agent.stock for cls, agent in agents.items()}, entropy_history=[h])
     channels = config.channels()
 
     records = []
@@ -309,7 +310,6 @@ def run_trial(config: MissionConfig, trial: int) -> TrialMetrics:
                 trial=trial, round_index=d, sector=sector, agent_class=cls,
                 alpha_used=alpha_used, trajectory=traj, theta=theta,
                 failure_step=fail_step, entropy_bits=h, cum_losses=fleet.r_lost))
-        fleet.deployment_index = d
         fleet.entropy_history.append(h)
         loss_series.append(fleet.r_lost)
         if d50 is None and h <= 0.5:
@@ -322,7 +322,7 @@ def run_trial(config: MissionConfig, trial: int) -> TrialMetrics:
         loss_series=loss_series,
         base_track=base_track,
         deployments_to_half=d50,
-        rounds_executed=fleet.deployment_index,
+        rounds_executed=len(base_track),
         initial_stock=fleet.r_total,
         surviving_stock=fleet.in_stock,
     )

@@ -28,7 +28,7 @@ import numpy as np
 
 from .belief import BeliefMap
 from .errors import FleetExhaustedError, ParameterError
-from .info_measures import BinaryChannel
+from .info_measures import BinaryChannel, _check_alpha
 from .planner import PlanConfig, Trajectory, plan_path, plan_paths, random_walk
 
 __all__ = [
@@ -75,15 +75,17 @@ class SigPolicy:
     sweep_step: float = 0.1
 
     def __post_init__(self):
-        if self.alpha_min <= 0 or self.alpha_max < self.alpha_min:
-            raise ParameterError("need 0 < alpha_min <= alpha_max")
+        if self.alpha_max < self.alpha_min:
+            raise ParameterError("need alpha_min <= alpha_max")
         if self.sweep_halfwidth < 0 or self.sweep_step <= 0:
             raise ParameterError("need sweep_halfwidth >= 0 and sweep_step > 0")
         if not 2.0 * self.sweep_halfwidth / self.sweep_step <= MAX_SWEEP_STEPS:
             raise ParameterError(f"need 2 * sweep_halfwidth / sweep_step <= {MAX_SWEEP_STEPS}")
-        # alpha_min is the lowest centre sig_alpha returns: if its sweep is not
-        # empty after clipping, no sweep is
+        # sig_alpha's centres run from alpha_min to alpha_max: if alpha_min's
+        # sweep is not empty after clipping, no sweep is, and alpha_max's
+        # sweep holds the highest alpha a deployment plans at
         sig_sweep_grid(self.alpha_min, self)
+        _check_alpha([self.alpha_min, *sig_sweep_grid(self.alpha_max, self)])
 
 
 @dataclass(frozen=True)
@@ -114,8 +116,7 @@ class TriggerPolicy:
             raise ParameterError("phase_switch and decay_rate must be >= 0")
         if not (0 < self.eps_min <= self.eps_max):
             raise ParameterError("need 0 < eps_min <= eps_max")
-        if self.alpha_explore <= 0 or self.alpha_hf <= 0:
-            raise ParameterError("alpha_explore and alpha_hf must be > 0")
+        _check_alpha([self.alpha_explore, self.alpha_hf])
 
 
 @dataclass
@@ -123,13 +124,12 @@ class FleetState:
     """The one record of a mission's fleet: the strategies read it, run_trial
     updates it and reports stock, losses, rounds and entropy from it.
 
-    stock maps each agent class to its robots left to deploy; r_total is
-    the initial stock of all classes."""
+    stock maps each agent class to its robots left to deploy, and
+    entropy_history holds the entropy after each round, the initial one
+    first, so the current round index is len(entropy_history) - 1."""
 
-    r_total: int
     stock: dict
     r_lost: int = 0
-    deployment_index: int = 0
     entropy_history: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -140,6 +140,11 @@ class FleetState:
     def in_stock(self) -> int:
         """Robots of every class left to deploy."""
         return sum(self.stock.values())
+
+    @property
+    def r_total(self) -> int:
+        """The initial stock of all classes: every robot is lost or in stock."""
+        return self.r_lost + self.in_stock
 
 
 def sig_alpha(fleet: FleetState, policy: SigPolicy) -> float:
@@ -183,15 +188,13 @@ def sig_select_path(fleet: FleetState, policy: SigPolicy, belief: BeliefMap, sta
 def tid_should_trigger(fleet: FleetState, policy: TriggerPolicy) -> bool:
     """True when the windowed entropy drop is below the phase threshold.
 
-    The drop is H_{d-window} - H_d, referenced to H_0 while d < window.
-    Never triggers once the high-fidelity stock is gone.
+    The drop is H_{d-window} - H_d at round index d, referenced to H_0
+    while d < window.
     """
-    if fleet.stock[AgentClass.HIGH_FIDELITY] <= 0:
-        return False
     hist = fleet.entropy_history
     if not hist:
         raise ParameterError("entropy history is empty")
-    d = fleet.deployment_index
+    d = len(hist) - 1
     ref = hist[max(0, d - policy.window)]
     drop = ref - hist[d]
     if d <= policy.phase_switch:

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from bapp import sim
 from bapp.belief import BeliefMap, GridDims, init_uniform
-from bapp.coordination import (RelocationPolicy, _site_scores, radial_partition,
-                               reachable_cells, regional_entropy, sector_masks, select_base_site)
+from bapp.coordination import (RelocationPolicy, _reach, _site_scores, radial_partition,
+                               regional_entropy, sector_masks, select_base_site)
 from bapp.errors import ParameterError
 from bapp.planner import neighbors
 from bapp.scenario import load_scenario
@@ -30,7 +30,7 @@ def reference_partition(base: int, dims: GridDims, n: int) -> np.ndarray:
 
 
 def reference_reachable_cells(belief: BeliefMap, start: int, safety_threshold: float) -> np.ndarray:
-    """The cell-by-cell queue BFS that reachable_cells' ring-at-a-time search replaced."""
+    """The cell-by-cell queue BFS that _reach's ring-at-a-time search replaced."""
     dims = belief.dims
     free = belief.probs < safety_threshold
     reach = np.zeros(dims.n_cells, dtype=bool)
@@ -179,8 +179,8 @@ class TestRegionalEntropy:
 class TestReachability:
     def test_same_cell(self):
         belief = init_uniform(GridDims(3, 3))
-        assert reachable_cells(belief, 4, 0.6)[4]
-        assert not reachable_cells(belief, 4, 0.4)[4]
+        assert _reach(belief, 4, 0.6)[4]
+        assert not _reach(belief, 4, 0.4)[4]
 
     def test_blocked_by_ring(self):
         dims = GridDims(5, 5)
@@ -188,15 +188,15 @@ class TestReachability:
         ring = [6, 7, 8, 11, 13, 16, 17, 18]
         probs[ring] = 0.9
         belief = BeliefMap(dims, probs)
-        assert not reachable_cells(belief, 0, 0.6)[12]
+        assert not _reach(belief, 0, 0.6)[12]
 
     def test_corridor(self):
         dims = GridDims(3, 5)
         probs = np.full(15, 0.95)
         probs[[5, 6, 7, 8, 9]] = 0.1  # middle row open
         belief = BeliefMap(dims, probs)
-        assert reachable_cells(belief, 5, 0.6)[9]
-        assert not reachable_cells(belief, 5, 0.6)[2]
+        assert _reach(belief, 5, 0.6)[9]
+        assert not _reach(belief, 5, 0.6)[2]
 
     def test_matches_queue_bfs(self):
         rng = np.random.default_rng(17)
@@ -205,7 +205,7 @@ class TestReachability:
             for _ in range(25):
                 belief = BeliefMap(dims, rng.uniform(0.0, 1.0, dims.n_cells))
                 start = int(rng.integers(dims.n_cells))
-                got = reachable_cells(belief, start, 0.6)
+                got = _reach(belief, start, 0.6)
                 assert got.shape == (dims.n_cells,)
                 assert np.array_equal(got, reference_reachable_cells(belief, start, 0.6))
 
@@ -239,7 +239,7 @@ class TestSelectBaseSite:
         out = select_base_site(belief, base, policy, 1)
         # exhaustive re-check over the box
         best = None
-        reach = reachable_cells(belief, base, 0.6)
+        reach = _reach(belief, base, 0.6)
         for r in range(2, 5):
             for c in range(2, 5):
                 cand = dims.to_cell(r, c)
@@ -262,7 +262,7 @@ class TestSelectBaseSite:
             out = select_base_site(belief, base, policy, 3)
             if out != base:
                 assert belief.probs[out] < 0.55
-                assert reachable_cells(belief, base, 0.55)[out]
+                assert _reach(belief, base, 0.55)[out]
 
     def test_monotone_vs_current_base(self):
         rng = np.random.default_rng(15)

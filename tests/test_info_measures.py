@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from bapp.belief import BeliefMap, GridDims
 from bapp.errors import DistributionError, ParameterError
-from bapp.info_measures import (AlphaSearchResult, BehaviorParams, BinaryChannel, MiForm,
+from bapp.info_measures import (MAX_ALPHA, AlphaSearchResult, BehaviorParams, BinaryChannel, MiForm,
                                 behavioral_entropy, binary_behavioral_entropy, binary_entropy,
                                 delta_mi, find_informative_alpha, mi_behavioral, mi_bgs,
                                 prelec_weight, shannon_entropy)
@@ -77,6 +78,10 @@ class TestPrelecWeight:
             BehaviorParams(alpha=-1.0, support_size=2)
         with pytest.raises(ParameterError):
             BehaviorParams(alpha=math.nan, support_size=2)
+        for above in (MAX_ALPHA * (1 + 1e-15), 1e308, math.inf):
+            with pytest.raises(ParameterError, match=r"alpha must be in \(0, 100\]"):
+                BehaviorParams(alpha=above, support_size=2)
+        assert BehaviorParams(alpha=MAX_ALPHA, support_size=2).alpha == MAX_ALPHA
         params = BehaviorParams(alpha=1.0, support_size=2)
         with pytest.raises(ParameterError):
             prelec_weight(1.5, params)
@@ -333,3 +338,19 @@ def test_binary_h_of_gathered_cells_equals_the_full_pass():
     for size in range(1, 70):
         cells = np.union1d(rng.choice(400, size, replace=False), rng.choice(8, min(size, 3)))
         assert np.array_equal(_binary_h(p[cells]), full[cells])
+
+
+# 5e-324 is the smallest float64, where -ln p is largest
+EXTREME_P = np.array([5e-324, 1e-300, 0.5, 1.0 - 1e-16, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("channel", [BinaryChannel(0.7, 0.1), BinaryChannel(0.99, 0.01),
+                                     BinaryChannel(1.0, 0.0)])
+def test_measures_at_max_alpha_are_finite_without_warnings(channel):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values = [mi_behavioral(EXTREME_P, channel, MAX_ALPHA, form) for form in MiForm]
+        values += list(delta_mi(EXTREME_P, channel.tpr, channel.fpr, MAX_ALPHA))
+        values.append(binary_behavioral_entropy(EXTREME_P, MAX_ALPHA))
+        values += [behavioral_entropy(np.full(m, 1.0 / m), MAX_ALPHA) for m in (2, 10, 10 ** 6)]
+    assert all(np.isfinite(v).all() for v in values)

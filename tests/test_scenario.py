@@ -5,6 +5,8 @@ turns into one stderr line and exit code 2 before any trial runs or any
 CSV is written; bad theory-sweep and oracle-check flags fail the same way.
 """
 
+import dataclasses
+import enum
 from pathlib import Path
 
 import pytest
@@ -13,16 +15,61 @@ from hypothesis import strategies as st
 
 from bapp import cli
 from bapp.cli import main
+from bapp.coordination import RelocationPolicy
 from bapp.errors import ParameterError, ScenarioError
 from bapp.experiment import MAX_SWEEP_ROWS, theory_sweep
-from bapp.scenario import builtin_scenarios, load_scenario, scenario_to_text
+from bapp.planner import PlanConfig
+from bapp.scenario import _SCHEMA, builtin_scenarios, load_scenario, scenario_to_text
 from bapp.sim import MissionConfig
-from bapp.strategies import MAX_SWEEP_STEPS, sig_sweep_grid
+from bapp.strategies import MAX_SWEEP_STEPS, SigPolicy, TriggerPolicy, sig_sweep_grid
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 TINY = ("rows = 5\ncols = 5\nhorizon = 4\ndeployment_budget = 4\n"
         "hazard_density = 0.08\nbeam_width = 8\ntrials = 2\nmaster_seed = 11\n")
+
+
+def library_default(cls, name):
+    """The default of dataclass field `name` of `cls`, from its default or factory."""
+    [f] = [f for f in dataclasses.fields(cls) if f.name == name]
+    return f.default if f.default is not dataclasses.MISSING else f.default_factory()
+
+
+# scenario key -> the library default the schema restates
+SAME_DEFAULT = {
+    **{key: library_default(MissionConfig, key) for key in (
+        "lethality", "hazard_density", "team_size", "deployment_budget", "strategy", "relocate")},
+    "disposable_gamma": library_default(MissionConfig, "disposable").malfunction_rate,
+    "highfid_gamma": library_default(MissionConfig, "high_fidelity").malfunction_rate,
+    **{key: library_default(PlanConfig, key) for key in ("horizon", "beam_width", "mi_form")},
+    "sig_alpha_min": library_default(SigPolicy, "alpha_min"),
+    "sig_alpha_max": library_default(SigPolicy, "alpha_max"),
+    "sig_halfwidth": library_default(SigPolicy, "sweep_halfwidth"),
+    "sig_step": library_default(SigPolicy, "sweep_step"),
+    **{f"tid_{key}": library_default(TriggerPolicy, key) for key in (
+        "window", "theta_early", "eps_min", "eps_max", "decay_rate", "alpha_explore", "alpha_hf")},
+    "relocation_cadence": library_default(RelocationPolicy, "cadence"),
+    **{key: library_default(RelocationPolicy, key) for key in (
+        "explore_radius", "search_radius", "safety_threshold")},
+}
+# scenario key -> the library default it differs from on purpose
+DIFFERENT_DEFAULT = {
+    "master_seed": library_default(MissionConfig, "master_seed"),        # a fixed study seed
+    "tid_phase_switch": library_default(TriggerPolicy, "phase_switch"),  # -1: 30% of the budget
+    "disposable_stock": library_default(MissionConfig, "disposable").stock,     # -1 for None
+    "highfid_stock": library_default(MissionConfig, "high_fidelity").stock,     # -1 for None
+    "base_cell": library_default(MissionConfig, "base_cell"),            # "center" for None
+}
+NO_LIBRARY_DEFAULT = {"rows", "cols", "trials"}  # GridDims and run_experiment take no default
+
+
+def test_schema_defaults_equal_the_library_defaults():
+    assert set(SAME_DEFAULT) | set(DIFFERENT_DEFAULT) | NO_LIBRARY_DEFAULT == set(_SCHEMA)
+    for key, library in SAME_DEFAULT.items():
+        assert _SCHEMA[key][1] == (library.value if isinstance(library, enum.Enum) else library), key
+    for key, library in DIFFERENT_DEFAULT.items():
+        assert _SCHEMA[key][1] != library, key
+
 
 # every key of the scenario schema, in file order
 KEYS = [line.split(" = ")[0] for line in scenario_to_text("proof-10x10").splitlines()[1:]]
@@ -55,6 +102,8 @@ def test_shipped_files_match_builtins():
                  ["--strategy", "bapp-sig"], id="sig-sweep-empty"),
     pytest.param("sig_halfwidth = 1e300\nsig_step = 1e-300",
                  ["--strategy", "bapp-sig"], id="sig-sweep-overflow"),
+    pytest.param("sig_alpha_max = 1e6", ["--strategy", "bapp-sig"], id="sig-alpha-max-1e6"),
+    pytest.param("tid_alpha_explore = 200", ["--strategy", "bapp-tid"], id="tid-alpha-explore-200"),
 ])
 def test_bad_input_exits_2_before_any_trial(tmp_path, capsys, extra_lines, extra_args):
     scen = tmp_path / "bad.txt"
@@ -94,6 +143,8 @@ def test_fuzzed_scenario_loads_or_raises_scenario_error(tmp_path_factory, entrie
 
 @pytest.mark.parametrize("flags", [
     pytest.param(["--alpha-grid", "0,1"], id="alpha-0"),
+    pytest.param(["--alpha-grid", "1e308"], id="alpha-1e308"),
+    pytest.param(["--alpha-grid", "200"], id="alpha-200"),
     pytest.param(["--alpha-grid", ","], id="alpha-empty"),
     pytest.param(["--prior-grid", "1.5"], id="prior-above-1"),
     pytest.param(["--alpha-grid", "0:inf:1"], id="count-infinite"),

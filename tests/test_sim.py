@@ -122,6 +122,24 @@ class TestMissionInputs:
             with pytest.raises(TypeError):
                 PlanConfig(**removed)
 
+    def test_default_stock_is_filled_when_the_config_is_built(self):
+        config = MissionConfig(dims=D10, team_size=3, deployment_budget=7,
+                               disposable=AgentSpec(0.05, None))
+        assert config.disposable == AgentSpec(0.05, 7 * 3)
+        assert config.high_fidelity == AgentSpec(0.01, 2 * 3)
+        # an explicit stock stays as given
+        assert MissionConfig(dims=D10, disposable=AgentSpec(0.05, 4)).disposable.stock == 4
+        # fixed when built: a later budget leaves it as it was
+        assert replace(config, deployment_budget=6).disposable.stock == 7 * 3
+
+    def test_scenario_stock_sentinel_is_the_default_stock(self, tmp_path):
+        head = "team_size = 3\ndeployment_budget = 7\n"
+        (tmp_path / "default.txt").write_text(head + "disposable_stock = -1\nhighfid_stock = -1\n")
+        (tmp_path / "explicit.txt").write_text(head + "disposable_stock = 21\nhighfid_stock = 6\n")
+        default = load_scenario(str(tmp_path / "default.txt"))
+        assert default == load_scenario(str(tmp_path / "explicit.txt"))
+        assert default[0].disposable.stock == 21
+
     def test_team_size_below_one_rejected(self):
         with pytest.raises(ScenarioError, match="^team size must be >= 1$"):
             MissionConfig(dims=D10, team_size=0)

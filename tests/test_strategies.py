@@ -7,7 +7,7 @@ from bapp import strategies
 from bapp.belief import BeliefMap, GridDims, init_uniform
 from bapp.coordination import sector_masks
 from bapp.errors import FleetExhaustedError, ParameterError
-from bapp.info_measures import BinaryChannel, MiForm
+from bapp.info_measures import MAX_ALPHA, BinaryChannel, MiForm
 from bapp.planner import PlanConfig, plan_path, score_path
 from bapp.strategies import (AgentClass, FleetState, SigPolicy, StrategyKind, TriggerPolicy,
                              deployment_decision, plan_round, select_deployment, sig_alpha, sig_select_path, sig_sweep_grid,
@@ -18,11 +18,9 @@ CH = BinaryChannel(0.7, 0.1)
 CHANNELS = {AgentClass.DISPOSABLE: CH, AgentClass.HIGH_FIDELITY: BinaryChannel(0.7, 0.01)}
 
 
-def fleet(r_lost=0, disp=10, hf=5, d=0, hist=None, total=None):
-    return FleetState(r_total=disp + hf if total is None else total,
-                      stock={AgentClass.DISPOSABLE: disp, AgentClass.HIGH_FIDELITY: hf},
-                      r_lost=r_lost, deployment_index=d,
-                      entropy_history=list(hist) if hist is not None else [1.0])
+def fleet(r_lost=0, disp=10, hf=5, hist=None):
+    return FleetState(stock={AgentClass.DISPOSABLE: disp, AgentClass.HIGH_FIDELITY: hf},
+                      r_lost=r_lost, entropy_history=list(hist) if hist is not None else [1.0])
 
 
 class TestSigAlpha:
@@ -30,22 +28,21 @@ class TestSigAlpha:
         assert sig_alpha(fleet(0), SigPolicy(0.5, 1.5)) == 0.5
 
     def test_total_loss_gives_alpha_max(self):
-        assert sig_alpha(fleet(15), SigPolicy(0.5, 1.5)) == 1.5
+        assert sig_alpha(fleet(15, disp=0, hf=0), SigPolicy(0.5, 1.5)) == 1.5
 
     def test_midpoint(self):
-        f = FleetState(r_total=10, stock={AgentClass.DISPOSABLE: 5, AgentClass.HIGH_FIDELITY: 0},
-                       r_lost=5)
+        f = FleetState(stock={AgentClass.DISPOSABLE: 5, AgentClass.HIGH_FIDELITY: 0}, r_lost=5)
         assert sig_alpha(f, SigPolicy(0.5, 1.5)) == pytest.approx(1.0)
 
     def test_monotone_and_bounded(self):
         pol = SigPolicy(0.4, 1.2)
-        vals = [sig_alpha(fleet(k), pol) for k in range(16)]
+        vals = [sig_alpha(fleet(k, disp=15 - k, hf=0), pol) for k in range(16)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
         assert all(pol.alpha_min <= v <= pol.alpha_max for v in vals)
 
     def test_invalid_fleet(self):
         with pytest.raises(ParameterError):
-            FleetState(r_total=0, stock={AgentClass.DISPOSABLE: 0, AgentClass.HIGH_FIDELITY: 0})
+            FleetState(stock={AgentClass.DISPOSABLE: 0, AgentClass.HIGH_FIDELITY: 0})
 
 
 class TestSweepGrid:
@@ -64,6 +61,16 @@ class TestSweepGrid:
     def test_empty_after_clipping(self):
         with pytest.raises(ParameterError):
             sig_sweep_grid(0.1, SigPolicy(sweep_halfwidth=0.5, sweep_step=2.0))
+
+    def test_policy_is_checked_at_its_sweeps_top(self):
+        # alpha_max is in range, but the top of its sweep is not
+        with pytest.raises(ParameterError, match=r"alpha must be in \(0, 100\], got 100.05"):
+            SigPolicy(0.5, MAX_ALPHA - 0.15, 0.2, 0.1)
+        # a policy that passes plans at every alpha of its top sweep
+        pol = SigPolicy(0.5, MAX_ALPHA - 0.2, 0.2, 0.1)
+        b = BeliefMap(GridDims(3, 3), np.full(9, 0.5))
+        _, alpha = sig_select_path(fleet(1, disp=0, hf=0), pol, b, 4, PlanConfig(horizon=2, beam_width=4), CH)
+        assert MAX_ALPHA - 0.4 <= alpha <= MAX_ALPHA
 
 
 class TestSigSelectPath:
@@ -90,7 +97,7 @@ class TestSigSelectPath:
         plan = PlanConfig(horizon=5, beam_width=16, mi_form=MiForm.CHANNEL)
         pol = SigPolicy(alpha_min=0.5, alpha_max=1.5, sweep_halfwidth=0.2, sweep_step=0.1)
         for r_lost in (0, 3, 7, 11, 15):
-            f = fleet(r_lost, disp=10, hf=5)
+            f = fleet(r_lost, disp=15 - r_lost, hf=0)
             b = BeliefMap(GridDims(5, 5), rng.uniform(0.05, 0.95, 25))
             traj, alpha = sig_select_path(f, pol, b, 12, plan, CH)
             best = None
@@ -122,22 +129,17 @@ class TestSigSelectPath:
 class TestTidTrigger:
     def test_shallow_drop_triggers_phase_one(self):
         pol = TriggerPolicy(window=2, theta_early=0.05, phase_switch=10)
-        f = fleet(d=2, hist=[1.0, 0.99, 0.985])
+        f = fleet(hist=[1.0, 0.99, 0.985])
         assert tid_should_trigger(f, pol)
 
     def test_steep_drop_does_not_trigger(self):
         pol = TriggerPolicy(window=2, theta_early=0.05, phase_switch=10)
-        f = fleet(d=2, hist=[1.0, 0.9, 0.8])
-        assert not tid_should_trigger(f, pol)
-
-    def test_no_stock_never_triggers(self):
-        pol = TriggerPolicy(window=2, theta_early=0.05, phase_switch=10)
-        f = fleet(d=2, hist=[1.0, 0.999, 0.999], hf=0)
+        f = fleet(hist=[1.0, 0.9, 0.8])
         assert not tid_should_trigger(f, pol)
 
     def test_short_history_references_h0(self):
         pol = TriggerPolicy(window=5, theta_early=0.01, phase_switch=10)
-        f = fleet(d=1, hist=[1.0, 0.995])
+        f = fleet(hist=[1.0, 0.995])
         assert tid_should_trigger(f, pol)
 
     def test_phase_two_threshold_decays_to_floor(self):
@@ -148,8 +150,8 @@ class TestTidTrigger:
         assert thresholds[-1] == pol.eps_min
         # a 0.015 drop is stagnation at d=30 (threshold 0.02) but healthy
         # progress at d=60 once the threshold has decayed to 0.01
-        f30 = fleet(d=30, hist=[1.0] * 30 + [0.985])
-        f60 = fleet(d=60, hist=[1.0] * 60 + [0.985])
+        f30 = fleet(hist=[1.0] * 30 + [0.985])
+        f60 = fleet(hist=[1.0] * 60 + [0.985])
         assert tid_should_trigger(f30, pol)
         assert not tid_should_trigger(f60, pol)
 
@@ -183,7 +185,7 @@ class TestDeploymentDecision:
     ])
     def test_table(self, strategy, stagnant, hf, disp, want):
         hist = [1.0, 0.999, 0.998] if stagnant else [1.0, 0.9, 0.8]
-        f = fleet(r_lost=5 - hf - disp, disp=disp, hf=hf, d=2, hist=hist, total=5)
+        f = fleet(r_lost=5 - hf - disp, disp=disp, hf=hf, hist=hist)
         if want is None:
             with pytest.raises(FleetExhaustedError):
                 deployment_decision(strategy, f, TRIGGER)
@@ -192,8 +194,8 @@ class TestDeploymentDecision:
 
     def test_stagnant_history_meets_the_trigger_condition(self):
         # the trigger fires on the stagnant history, and not on the falling one
-        assert tid_should_trigger(fleet(d=2, hist=[1.0, 0.999, 0.998]), TRIGGER)
-        assert not tid_should_trigger(fleet(d=2, hist=[1.0, 0.9, 0.8]), TRIGGER)
+        assert tid_should_trigger(fleet(hist=[1.0, 0.999, 0.998]), TRIGGER)
+        assert not tid_should_trigger(fleet(hist=[1.0, 0.9, 0.8]), TRIGGER)
 
     def test_other_strategies_have_no_table(self):
         for strategy in (StrategyKind.RANDOM, StrategyKind.BAPP_SIG):
@@ -228,14 +230,14 @@ class TestSelectDeployment:
             select_deployment(StrategyKind.RANDOM, fleet(), self.belief, 5, self.plan, CHANNELS)
 
     def test_tid_flat_history_deploys_high_fidelity(self):
-        f = fleet(d=3, hist=[1.0, 1.0, 1.0, 1.0])
+        f = fleet(hist=[1.0, 1.0, 1.0, 1.0])
         cls, _, alpha = select_deployment(StrategyKind.BAPP_TID, f, self.belief, 5,
                                           self.plan, CHANNELS, trigger=TriggerPolicy())
         assert cls is AgentClass.HIGH_FIDELITY
         assert alpha == TriggerPolicy().alpha_hf
 
     def test_tid_progress_deploys_disposable(self):
-        f = fleet(d=3, hist=[1.0, 0.9, 0.8, 0.7])
+        f = fleet(hist=[1.0, 0.9, 0.8, 0.7])
         cls, _, alpha = select_deployment(StrategyKind.BAPP_TID, f, self.belief, 5,
                                           self.plan, CHANNELS, trigger=TriggerPolicy())
         assert cls is AgentClass.DISPOSABLE
@@ -253,7 +255,7 @@ class TestSelectDeployment:
         assert cls is AgentClass.HIGH_FIDELITY
 
     def test_exhausted_fleet_signals_mission_over(self):
-        f = FleetState(r_total=10, stock={AgentClass.DISPOSABLE: 0, AgentClass.HIGH_FIDELITY: 0},
+        f = FleetState(stock={AgentClass.DISPOSABLE: 0, AgentClass.HIGH_FIDELITY: 0},
                        r_lost=10, entropy_history=[1.0])
         with pytest.raises(FleetExhaustedError):
             select_deployment(StrategyKind.STD_ITP, f, self.belief, 5, self.plan, CHANNELS)
@@ -318,7 +320,7 @@ class TestPlanRound:
 
     @pytest.mark.parametrize("strategy", list(StrategyKind))
     def test_select_deployment_on_empty_fleet_raises(self, strategy):
-        f = FleetState(r_total=4, stock={AgentClass.DISPOSABLE: 0, AgentClass.HIGH_FIDELITY: 0},
+        f = FleetState(stock={AgentClass.DISPOSABLE: 0, AgentClass.HIGH_FIDELITY: 0},
                        r_lost=4, entropy_history=[1.0])
         with pytest.raises(FleetExhaustedError):
             select_deployment(strategy, f, self.belief, 5, self.plan, CHANNELS, sig=SigPolicy(),
