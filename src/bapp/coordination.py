@@ -156,6 +156,32 @@ def _reach(belief: BeliefMap, start: int, safety_threshold: float,
     return reach[:-1]
 
 
+# a run relocates with one (grid, team, radius), so a small memo holds it
+@functools.lru_cache(maxsize=8)
+def _disc(dims: GridDims, n: int, radius: float) -> tuple[np.ndarray, ...]:
+    """The offsets within Euclidean distance `radius` of a base, in (sector,
+    row offset, column offset) order, as read-only tables.
+
+    Returns each offset's flat cell offset; whether it stays in the grid
+    from a base in each row, and in each column, as (rows, offsets) and
+    (cols, offsets) bool tables; and the index of each sector's last
+    offset. Sector 0 holds offset (0, 0), so it is never empty, and an
+    empty sector's last index is its predecessor's. In this order the
+    in-grid cells of a sector about any base come in ascending cell order.
+    """
+    sectors, dist2 = _offset_tables(dims, n)
+    inside = np.flatnonzero(dist2.ravel() <= radius ** 2)
+    key = sectors.ravel()[inside]
+    dr, dc = np.divmod(inside[np.argsort(key, kind="stable")], 2 * dims.cols - 1)
+    dr, dc = dr - (dims.rows - 1), dc - (dims.cols - 1)
+    r, c = np.arange(dims.rows)[:, None] + dr, np.arange(dims.cols)[:, None] + dc
+    row_ok, col_ok = (r >= 0) & (r < dims.rows), (c >= 0) & (c < dims.cols)
+    tables = (dr * dims.cols + dc, row_ok, col_ok, np.cumsum(np.bincount(key, minlength=n)) - 1)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def _site_scores(belief: BeliefMap, base: int, policy: RelocationPolicy,
                  n: int) -> tuple[list, list]:
     """Candidate sites about `base` in ascending order, and the score of each.
@@ -171,39 +197,41 @@ def _site_scores(belief: BeliefMap, base: int, policy: RelocationPolicy,
     cands = cands[_reach(belief, base, policy.safety_threshold, cands)[cands]]
     if cands.size == 0:
         return [], []
-    ent = belief._entropy_bits
-    sectors, dist2 = _offset_tables(dims, n)
-    # sector of each offset, or n outside the disc, in the smallest unsigned
-    # type that holds n, for which the stable sort is a radix sort. It keeps
-    # each sector's cells in ascending order, so every sector mean adds the
-    # same values in the same order as ndarray.mean in regional_entropy.
-    # Summing in any other order (bincount, reduceat, rows padded with
-    # zeros) moves near-tied scores by an ulp and changes the site.
-    table = np.where(dist2 <= policy.explore_radius ** 2, sectors, n).astype(np.min_scalar_type(n))
-    # each candidate's key row is its _window of the table, read as one gather
-    windows = np.lib.stride_tricks.sliding_window_view(table, (dims.rows, dims.cols))
+    offsets, row_ok, col_ok, last = _disc(dims, n, policy.explore_radius)
+    # Each candidate's in-disc cells, sector by sector, each sector's in
+    # ascending cell order, so every sector mean adds the same values in the
+    # same order as ndarray.mean in regional_entropy. Summing in any other
+    # order (bincount, reduceat, rows padded with zeros) moves near-tied
+    # scores by an ulp and changes the site.
     cand_r, cand_c = np.divmod(cands, dims.cols)
-    key = windows[dims.rows - 1 - cand_r, dims.cols - 1 - cand_c].reshape(len(cands), -1)
-    vals = ent[np.argsort(key, axis=1, kind="stable")].ravel()  # the sorted rows, end to end
-    group = (key + (n + 1) * np.arange(len(cands))[:, None]).ravel()
-    counts = np.bincount(group, minlength=len(cands) * (n + 1)).reshape(len(cands), n + 1)[:, :n]
-    # start and length of each non-empty (candidate, sector) run in `vals`
-    starts = np.cumsum(counts, axis=1) - counts + dims.n_cells * np.arange(len(cands))[:, None]
-    filled = counts > 0
-    starts, lens = starts[filled], counts[filled]
-    # the runs of one length L, gathered as the rows of a C-contiguous
-    # (k, L) matrix, are each summed by the same pairwise reduce as a 1-D
-    # run of L values, bit for bit; the runs are taken in length order
+    in_grid = row_ok[cand_r] & col_ok[cand_c]
+    cells = (cands[:, None] + offsets)[in_grid]
+    # each (candidate, sector) run's length: the running count of in-grid
+    # offsets at the sector's last offset, less the previous sector's
+    counts = in_grid.astype(np.intp).cumsum(axis=1)[:, last]
+    counts[:, 1:] -= counts[:, :-1].copy()
+    lens = counts.ravel()
+    starts = (np.cumsum(lens) - lens)[lens > 0]
+    lens = lens[lens > 0]
+    # the cells again, their runs in ascending length order: the runs of one
+    # length L are then the rows of a C-contiguous (k, L) block, and each
+    # row is summed by the same pairwise reduce as a 1-D run of L values,
+    # bit for bit
     by_len = np.argsort(lens, kind="stable")
-    per_len = np.bincount(lens)
-    ends = np.cumsum(per_len).tolist()
-    starts = starts[by_len]
+    sorted_lens = lens[by_len]
+    # each run's start in `cells` less its start in length order
+    shift = starts[by_len] - (np.cumsum(sorted_lens) - sorted_lens)
+    vals = belief._entropy_bits[cells[np.repeat(shift, sorted_lens) + np.arange(cells.size)]]
+    per_len = np.bincount(sorted_lens)
+    blocks, at = [], 0
+    for length in np.flatnonzero(per_len).tolist():
+        k = int(per_len[length])
+        blocks.append(np.add.reduce(vals[at:at + k * length].reshape(k, length), axis=1))
+        at += k * length
     sums = np.empty(lens.size)
-    sums[by_len] = np.concatenate([
-        np.add.reduce(vals[starts[ends[length - 1]:ends[length], None] + np.arange(length)], axis=1)
-        for length in np.flatnonzero(per_len).tolist()])
+    sums[by_len] = np.concatenate(blocks)
     means = np.zeros(counts.shape)
-    means[filled] = sums / lens
+    means[counts > 0] = sums / lens
     scores = np.add.reduce(means, axis=1) / n
     return cands.tolist(), scores.tolist()
 

@@ -151,7 +151,7 @@ def write_paths_csv(path: str, results: Sequence[ExperimentResult]) -> None:
         name = res.config.strategy.value
         for tm in res.trials:
             for rec in tm.records:
-                cells = ";".join(str(c) for c in rec.trajectory.cells)
+                cells = ";".join([str(c) for c in rec.trajectory.cells])
                 lines.append(f"{rec.trial},{rec.round_index},{name},{rec.sector},{rec.trajectory.start},{cells}")
     _write_lines(path, lines)
 

@@ -225,8 +225,12 @@ def _binary_h(p):
 
 def _binary_behavioral_h(p, alpha):
     """Binary behavioral entropy in nats of checked probabilities and alpha."""
-    beta = _binary_beta(alpha)
-    return -(_xlogx(_prelec(p, alpha, beta)) + _xlogx(_prelec(1.0 - p, alpha, beta)))
+    # p and 1 - p stacked on a new leading axis that alpha does not reach:
+    # one elementwise pass gives each entry the bits of its own pass
+    p = np.asarray(p, dtype=float)
+    p = p.reshape((1,) * (np.ndim(alpha) - p.ndim) + p.shape)
+    terms = _xlogx(_prelec(np.stack((p, 1.0 - p)), alpha, _binary_beta(alpha)))
+    return -(terms[0] + terms[1])
 
 
 def _perceived_obs_marginal(p, alpha, tpr, fpr):

@@ -170,6 +170,21 @@ def _path_value(cells: Sequence[int], gain: np.ndarray, keep: np.ndarray) -> flo
     return float(total)
 
 
+# A run plans a few shapes over and over: each group count it uses, at 1, 9
+# and beam_width rows. An entry holds 4 * n_groups * rows * 9 indices.
+@functools.lru_cache(maxsize=6)
+def _child_index(n_groups: int, rows: int, stride: int) -> tuple[np.ndarray, ...]:
+    """For child k of n_groups flat (rows, 9) blocks: its parent row, and the
+    offsets of its own visited row, its parent's and its group's gain row,
+    each of stride entries; read-only."""
+    child = np.arange(n_groups * rows * 9)
+    parent = child // 9
+    tables = (parent, child * stride, parent * stride, parent // rows * stride)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def plan_paths(belief: BeliefMap, start: int, config: PlanConfig, channel: BinaryChannel,
                groups: Sequence[tuple[Optional[np.ndarray], float]]) -> list[tuple[float, tuple[int, ...]]]:
     """Beam search from `start` for every (mask, alpha) group, in one batched pass.
@@ -194,19 +209,19 @@ def plan_paths(belief: BeliefMap, start: int, config: PlanConfig, channel: Binar
         raise ParameterError("no group to plan")
     succ = _neighbor_table(dims)
     n_groups, stride = len(groups), n + 1
-    # column n, the padding cell, is never allowed and carries no gain
-    allowed = np.zeros((n_groups, stride), dtype=bool)
-    for row, (mask, _) in zip(allowed, groups):
+    # column n, the padding cell, is always blocked and carries no gain
+    blocked = np.ones((n_groups, stride), dtype=bool)
+    for row, (mask, _) in zip(blocked, groups):
         _check_mask(mask, dims)
-        row[:n] = True if mask is None else mask
-    if not allowed[:, start].all():
+        row[:n] = False if mask is None else ~mask
+    if blocked[:, start].any():
         raise ParameterError(f"start {start} outside the plan mask")
     alphas = tuple(dict.fromkeys(a for _, a in groups))
     gain = np.zeros((n_groups, stride))
     per_alpha = per_cell_gain(belief, channel, np.array(alphas)[:, None], config.mi_form)
     gain[:, :n] = per_alpha[[alphas.index(a) for _, a in groups]]
     keep = np.append(1.0 - cell_failure_prob(belief.probs, channel), 1.0)
-    allowed, gain = allowed.ravel(), gain.ravel()
+    blocked, gain = blocked.ravel(), gain.ravel()
     width = config.beam_width
 
     # Each group holds `rows` = min(width, 9**depth) partial paths in
@@ -214,42 +229,40 @@ def plan_paths(belief: BeliefMap, start: int, config: PlanConfig, channel: Binar
     # group does not allow, or a padding move, is dead: it scores -inf and so
     # do its children. The start is not marked visited: staying put is a
     # first visit. steps[d] holds each row's parent row and cell at depth d.
-    rows, steps, parent = 1, [], np.empty(0, dtype=np.intp)
+    rows, steps = 1, []
     score, surv = np.zeros(n_groups), np.ones(n_groups)
     visited = np.zeros((n_groups, stride), dtype=bool)
     cell = np.full(n_groups, start, dtype=np.intp)  # each row's last cell
     last = config.horizon - 1
     for depth in range(config.horizon):
         kids = rows * 9
-        if parent.size != n_groups * kids:
-            # for child k of the flat (rows, 9) blocks: its parent row, and the
-            # offsets of its own visited row, its parent's and its group's gain row
-            parent = np.arange(n_groups * kids) // 9
-            child_at = np.arange(n_groups * kids) * stride
-            parent_at, group_at = parent * stride, parent // rows * stride
+        parent, child_at, parent_at, group_at = _child_index(n_groups, rows, stride)
         cell = succ.take(cell, axis=0).ravel()
         at = group_at + cell
-        prev_score, prev_surv = score.take(parent), surv.take(parent)
+        # a row's 9 children are adjacent, so each gets its parent's values by repeat
+        prev_score, prev_surv = score.repeat(9), surv.repeat(9)
         score = np.where(visited.take(parent_at + cell), prev_score, prev_score + prev_surv * gain.take(at))
-        score = np.where(allowed.take(at), score, -np.inf)
+        np.putmask(score, blocked.take(at), -np.inf)
         if depth == last:
             # no cut: it would keep each group's first best child, the one
             # the argmax over all of the group's children finds
             steps.append((parent, cell))
             rows = kids
             break
-        surv = prev_surv * keep.take(cell)
         kept = parent
         if width is not None and kids > width:
             # A group keeps its children above its width-th best score, then
             # those equal to it in row order until it holds `width`: the top
             # width of a stable sort, still in lexicographic order.
             block = score.reshape(n_groups, kids)
-            cut = np.partition(block, kids - width, axis=1)[:, kids - width, None]
+            cut = block.copy()
+            cut.partition(kids - width, axis=1)
+            cut = cut[:, kids - width, None]
             above, tie = block > cut, block == cut
             room = width - above.sum(axis=1, keepdims=True)
-            chosen = np.flatnonzero(above | (tie & (np.cumsum(tie, axis=1) <= room)))
-            kept, cell, score, surv = parent.take(chosen), cell.take(chosen), score.take(chosen), surv.take(chosen)
+            chosen = (above | (tie & (tie.cumsum(axis=1) <= room))).ravel().nonzero()[0]
+            kept, cell, score, prev_surv = parent.take(chosen), cell.take(chosen), score.take(chosen), prev_surv.take(chosen)
+        surv = prev_surv * keep.take(cell)  # for the kept children only
         visited = visited.take(kept, axis=0)
         visited.ravel()[child_at[:len(cell)] + cell] = True
         steps.append((kept, cell))

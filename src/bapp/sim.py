@@ -285,12 +285,15 @@ def run_trial(config: MissionConfig, trial: int) -> TrialMetrics:
     base_track = []
     d50 = None
     round_draws = _round_draws(config, trial)
+    masks = sector_masks(base, dims, n)  # built again only when the base moves
 
     for d in range(1, config.deployment_budget + 1):
         if not fleet.in_stock:
             break
         if config.relocate and d > 1 and (d - 1) % config.relocation.cadence == 0:
-            base = select_base_site(belief, base, config.relocation, n)
+            site = select_base_site(belief, base, config.relocation, n)
+            if site != base:
+                base, masks = site, sector_masks(site, dims, n)
         base_track.append(base)
         failures, walks = next(round_draws)
         words = None if walks is None else [_walk_words(w, seed, trial, d, sector)
@@ -299,17 +302,15 @@ def run_trial(config: MissionConfig, trial: int) -> TrialMetrics:
         # other's outcomes
         for sector, (cls, traj, alpha_used) in enumerate(plan_round(
                 config.strategy, fleet, belief, base, config.plan, channels,
-                sector_masks(base, dims, n), sig=config.sig, trigger=config.trigger, words=words)):
+                masks, sig=config.sig, trigger=config.trigger, words=words)):
             theta, fail_step = execute_deployment(truth, traj, agents[cls], failures[sector])
             fleet.r_lost += theta
             fleet.stock[cls] -= theta
             update = update_on_failure if theta else update_on_success
             belief = update(belief, traj.cells, channels[cls])
             h = global_entropy(belief)
-            records.append(DeploymentRecord(
-                trial=trial, round_index=d, sector=sector, agent_class=cls,
-                alpha_used=alpha_used, trajectory=traj, theta=theta,
-                failure_step=fail_step, entropy_bits=h, cum_losses=fleet.r_lost))
+            records.append(DeploymentRecord(trial, d, sector, cls, alpha_used, traj, theta,
+                                            fail_step, h, fleet.r_lost))
         fleet.entropy_history.append(h)
         loss_series.append(fleet.r_lost)
         if d50 is None and h <= 0.5:

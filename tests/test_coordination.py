@@ -285,10 +285,11 @@ def _relocations(draw):
     # quantise some cells, so that candidate scores tie exactly
     quantised = rng.random(dims.n_cells) < draw(st.sampled_from((0.0, 0.5, 1.0)))
     probs[quantised] = rng.choice((0.0, 0.25, 0.5), int(quantised.sum()))
-    policy = RelocationPolicy(explore_radius=draw(st.sampled_from((1.5, 8.0, 16.0, 36.0))),
+    # radius 0.5: offset (0, 0) alone is in the disc, so every sector but 0 is empty
+    policy = RelocationPolicy(explore_radius=draw(st.sampled_from((0.5, 1.5, 8.0, 16.0, 36.0))),
                               search_radius=draw(st.sampled_from((1.0, 4.0))))
     base = draw(st.integers(0, dims.n_cells - 1))
-    n = draw(st.sampled_from((1, 2, 3, 5, 7, 15, 300)))  # 300: a sort key wider than uint8
+    n = draw(st.sampled_from((1, 2, 3, 5, 7, 15, 300)))  # 300: most sectors empty, trailing ones too
     return BeliefMap(dims, probs), base, policy, n
 
 

@@ -12,7 +12,7 @@ from bapp.info_measures import (MAX_ALPHA, AlphaSearchResult, BehaviorParams, Bi
                                 behavioral_entropy, binary_behavioral_entropy, binary_entropy,
                                 delta_mi, find_informative_alpha, mi_behavioral, mi_bgs,
                                 prelec_weight, shannon_entropy)
-from bapp.info_measures import _binary_h
+from bapp.info_measures import _binary_beta, _binary_behavioral_h, _binary_h, _prelec, _xlogx
 
 
 def mi_joint_oracle(p, lam, gam):
@@ -238,6 +238,44 @@ def test_alpha_column_rows_equal_scalar_alpha_calls(probs, alphas, form, channel
     assert rows.shape == (len(alphas), p.size)
     for row, a in zip(rows, alphas):
         assert np.array_equal(row, mi_behavioral(p, channel, a, form))
+
+
+def _two_pass_behavioral_h(p, alpha):
+    """_binary_behavioral_h as separate _prelec and _xlogx passes over p and 1 - p."""
+    beta = _binary_beta(alpha)
+    return -(_xlogx(_prelec(p, alpha, beta)) + _xlogx(_prelec(1.0 - p, alpha, beta)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(probs=st.lists(st.sampled_from((0.0, 0.05, 0.25, 0.5, 0.75, 0.9, 1.0)) | st.floats(0.0, 1.0),
+                      min_size=1, max_size=40),
+       alphas=st.lists(st.sampled_from((0.3, 0.5, 0.7, 1.0, 1.2, 2.0)) | st.floats(0.05, 5.0),
+                       min_size=1, max_size=6))
+def test_stacked_behavioral_h_equals_two_passes(probs, alphas):
+    # one pass over the stacked (p, 1 - p) gives each entry the bits of its
+    # own pass, for an alpha column (the _pow special cases 0.5 and 2.0
+    # included), a scalar alpha and a scalar p
+    p = np.array(probs)
+    cases = [(p, np.array([[0.5], [2.0]])), (p, np.array(alphas)[:, None]),
+             (np.asarray(probs[0]), np.array(alphas)[:, None])]
+    cases += [(q, np.asarray(a)) for a in alphas for q in (p, np.asarray(probs[0]))]
+    for q, alpha in cases:
+        got, want = _binary_behavioral_h(q, alpha), _two_pass_behavioral_h(q, alpha)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+
+
+def test_stacked_behavioral_h_equals_two_passes_on_the_theory_sweep_grid():
+    # the 4-D (alpha, prior, lambda, gamma) broadcast of theory_sweep
+    a = np.array([0.5, 0.7, 1.0, 2.0, 3.3])[:, None, None, None]
+    p = np.linspace(0.0, 1.0, 19)[None, :, None, None]
+    lam = np.array([0.6, 0.9, 1.0])[None, None, :, None]
+    gam = np.array([0.0, 0.1, 0.3])[None, None, None, :]
+    perceived = p * lam + (1.0 - p) * gam
+    for q in (perceived, p):
+        got, want = _binary_behavioral_h(q, a), _two_pass_behavioral_h(q, a)
+        assert got.shape == want.shape == np.broadcast_shapes(q.shape, a.shape)
+        assert np.array_equal(got, want)
 
 
 class TestDeltaMi:

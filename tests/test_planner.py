@@ -269,7 +269,9 @@ def _sweep_plans(draw):
     cfg = PlanConfig(horizon=horizon, beam_width=width, mi_form=draw(st.sampled_from(MiForm)))
     alphas = draw(st.lists(st.sampled_from((0.3, 0.5, 0.8, 1.0, 1.2, 1.5, 2.0)),
                            min_size=1, max_size=5))
-    channel = draw(st.sampled_from((CH, BinaryChannel(0.7, 0.1), BinaryChannel(0.5, 0.0))))
+    # BinaryChannel(1.0, 0.1) at a prior of 1.0 gives rows whose survival is 0
+    channel = draw(st.sampled_from((CH, BinaryChannel(0.7, 0.1), BinaryChannel(0.5, 0.0),
+                                    BinaryChannel(1.0, 0.1))))
     return BeliefMap(dims, np.array(probs)), start, cfg, mask, alphas, channel
 
 
@@ -302,7 +304,9 @@ def _group_plans(draw):
     width = draw(st.sampled_from((1, 8, 32, None)))
     horizon = draw(st.integers(1, 4 if width is None else 10))
     cfg = PlanConfig(horizon=horizon, beam_width=width, mi_form=draw(st.sampled_from(MiForm)))
-    channel = draw(st.sampled_from((CH, BinaryChannel(0.7, 0.1), BinaryChannel(0.5, 0.0))))
+    # BinaryChannel(1.0, 0.1) at a prior of 1.0 gives rows whose survival is 0
+    channel = draw(st.sampled_from((CH, BinaryChannel(0.7, 0.1), BinaryChannel(0.5, 0.0),
+                                    BinaryChannel(1.0, 0.1))))
     return BeliefMap(dims, np.array(probs)), start, cfg, groups, channel
 
 

@@ -329,6 +329,31 @@ class TestRunTrial:
             allowed = set(np.flatnonzero(sectors == rec.sector).tolist()) | hub
             assert set(rec.trajectory.cells) <= allowed
 
+    def test_sector_masks_built_once_per_base(self, monkeypatch):
+        from bapp.coordination import RelocationPolicy
+        calls = []
+        build = sim.sector_masks
+
+        def spy(base, dims, n):
+            calls.append(base)
+            return build(base, dims, n)
+
+        monkeypatch.setattr(sim, "sector_masks", spy)
+        for strategy in (StrategyKind.RANDOM, StrategyKind.STD_ITP, StrategyKind.BAPP_SIG):
+            calls.clear()
+            tm = run_trial(small_config(team_size=3, deployment_budget=5, strategy=strategy), 0)
+            assert tm.rounds_executed == 5
+            assert calls == [small_config().start_cell]
+        # a relocating base gets new masks each time it moves, and only then
+        calls.clear()
+        tm = run_trial(small_config(team_size=2, deployment_budget=8, relocate=True,
+                                    disposable=AgentSpec(0.10, 16),
+                                    relocation=RelocationPolicy(explore_radius=3.0, search_radius=2.0)),
+                       0)
+        moves = [b for i, b in enumerate(tm.base_track) if i == 0 or b != tm.base_track[i - 1]]
+        assert len(set(tm.base_track)) > 1
+        assert calls == moves
+
     def test_relocation_tracks_base(self):
         from bapp.coordination import RelocationPolicy
         cfg = small_config(team_size=2, deployment_budget=6, relocate=True,
