@@ -55,6 +55,14 @@ def _parse_grid(text: str) -> list[float]:
     return [v for v in values if v <= stop + 1e-12]
 
 
+def _make_out_dir(path: str) -> None:
+    """Make the output directory; an OSError (a file of that name, say) is a ScenarioError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"cannot create output directory {path!r}: {exc.strerror or exc}") from None
+
+
 def _cmd_simulate(args) -> int:
     config, trials = load_scenario(args.scenario)
     if args.strategy is not None:
@@ -67,7 +75,7 @@ def _cmd_simulate(args) -> int:
         raise ScenarioError(f"trials must be >= 1, got {trials}")
     if args.workers < 1:
         raise ScenarioError(f"workers must be >= 1, got {args.workers}")
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     result = run_experiment(config, trials, workers=args.workers)
     write_deployments_csv(os.path.join(args.out, "deployments.csv"), [result])
     write_summary_json(os.path.join(args.out, "summary.json"), [result])
@@ -82,11 +90,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_theory_sweep(args) -> int:
     grids = [_parse_grid(g) for g in (args.alpha_grid, args.prior_grid, args.lambda_grid, args.gamma_grid)]
+    _make_out_dir(args.out)
     try:
         result = theory_sweep(*grids)
     except ParameterError as exc:  # the grids come only from the flags
         raise ScenarioError(str(exc)) from exc
-    os.makedirs(args.out, exist_ok=True)
     write_theory_csvs(args.out, result)
     n_rows = result.delta_i.size
     print(f"theory sweep: {n_rows} rows -> {args.out}")

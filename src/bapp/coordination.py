@@ -42,6 +42,8 @@ class RelocationPolicy:
     def __post_init__(self):
         if self.explore_radius <= 0 or self.search_radius <= 0:
             raise ParameterError("radii must be > 0")
+        if not self.explore_radius * self.explore_radius < math.inf:  # the disc squares it
+            raise ParameterError(f"explore_radius squared must be finite, got {self.explore_radius!r}")
         if not (0.0 < self.safety_threshold < 1.0):
             raise ParameterError("safety threshold must be in (0, 1)")
         if self.cadence < 1:
@@ -245,8 +247,5 @@ def select_base_site(belief: BeliefMap, base: int, policy: RelocationPolicy, n: 
     at that site, as regional_entropy scores it; ties go to the smaller
     cell index.
     """
-    best_score, best = None, base
-    for cand, score in zip(*_site_scores(belief, base, policy, n)):
-        if best_score is None or score > best_score:
-            best_score, best = score, cand
-    return best
+    cands, scores = _site_scores(belief, base, policy, n)
+    return cands[int(np.argmax(scores))] if cands else base  # argmax keeps the first maximum

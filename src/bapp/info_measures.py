@@ -156,17 +156,12 @@ def _pow(x, alpha):
 def _prelec(p, alpha, beta):
     """w(p) on arrays already validated, with w(0)=0 and w(1)=1."""
     p = np.asarray(p, dtype=float)
-    out = np.zeros(np.broadcast_shapes(p.shape, np.shape(alpha), np.shape(beta)))
+    # the log sees interior entries only; an endpoint passes -ln 1 = -0.0,
+    # whose finite weight the bool p >= 1 (w(0) = 0, w(1) = 1) replaces
     inner = (p > 0.0) & (p < 1.0)
-    neglog = np.where(p > 0.0, -np.log(np.where(p > 0.0, p, 1.0)), np.inf)
-    out = np.where(
-        inner,
-        np.exp(-np.asarray(beta, dtype=float)
-               * _pow(np.where(inner, neglog, 1.0), np.asarray(alpha, dtype=float))),
-        out,
-    )
-    out = np.where(p >= 1.0, 1.0, out)
-    return out
+    w = np.exp(-np.asarray(beta, dtype=float)
+               * _pow(-np.log(np.where(inner, p, 1.0)), np.asarray(alpha, dtype=float)))
+    return np.where(inner, w, p >= 1.0)
 
 
 def prelec_weight(p, params: BehaviorParams):
@@ -179,7 +174,7 @@ def prelec_weight(p, params: BehaviorParams):
 def _xlogx(x):
     """x * ln(x) with the 0 * ln(0) = 0 convention."""
     x = np.asarray(x, dtype=float)
-    return np.where(x > 0.0, x * np.log(np.where(x > 0.0, x, 1.0)), 0.0)
+    return x * np.log(np.where(x > 0.0, x, 1.0))
 
 
 def _validate_distribution(probs) -> np.ndarray:
@@ -259,17 +254,12 @@ def mi_bgs(prior, channel: BinaryChannel):
     """
     p = _as_prob(prior, "prior")
     lam, gam = channel.tpr, channel.fpr
-    joint = [
-        (p * lam, p, lambda pz1, pz0: pz1),            # x=1, z=1
-        (p * (1.0 - lam), p, lambda pz1, pz0: pz0),    # x=1, z=0
-        ((1.0 - p) * gam, 1.0 - p, lambda pz1, pz0: pz1),
-        ((1.0 - p) * (1.0 - gam), 1.0 - p, lambda pz1, pz0: pz0),
-    ]
     pz1 = p * lam + (1.0 - p) * gam
     pz0 = 1.0 - pz1
     total = np.zeros_like(p, dtype=float)
-    for pxz, px, select_pz in joint:
-        pz = select_pz(pz1, pz0)
+    # (P(x,z), P(x), P(z)) of the outcomes (1,1), (1,0), (0,1) and (0,0)
+    for pxz, px, pz in ((p * lam, p, pz1), (p * (1.0 - lam), p, pz0),
+                        ((1.0 - p) * gam, 1.0 - p, pz1), ((1.0 - p) * (1.0 - gam), 1.0 - p, pz0)):
         with np.errstate(divide="ignore", invalid="ignore"):
             term = np.where(
                 pxz > 0.0,
@@ -297,15 +287,16 @@ def mi_behavioral(prior, channel: BinaryChannel, alpha, form: MiForm = MiForm.PO
     lam, gam = channel.tpr, channel.fpr
     if form is MiForm.CHANNEL:
         perceived, w = _perceived_obs_marginal(p, alpha, lam, gam)
-        out = _binary_behavioral_h(perceived, alpha) - (w * _binary_h(lam) + (1.0 - w) * _binary_h(gam))
+        h_lam, h_gam = _binary_h(np.array([lam, gam]))
+        out = _binary_behavioral_h(perceived, alpha) - (w * h_lam + (1.0 - w) * h_gam)
     elif form is MiForm.POSTERIOR:
         pz1 = p * lam + (1.0 - p) * gam
         pz0 = 1.0 - pz1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            post1 = np.where(pz1 > 0.0, p * lam / np.where(pz1 > 0.0, pz1, 1.0), 0.0)
-            post0 = np.where(pz0 > 0.0, p * (1.0 - lam) / np.where(pz0 > 0.0, pz0, 1.0), 0.0)
-        post1 = np.clip(post1, 0.0, 1.0)
-        post0 = np.clip(post0, 0.0, 1.0)
+        # a zero marginal only keeps its division finite: its numerator need
+        # not be 0 in floats (fpr = 1 and a tiny p round pz1 to 1), but its
+        # posterior's entropy is weighted by that zero in h_cond
+        post1 = np.clip(p * lam / np.where(pz1 > 0.0, pz1, 1.0), 0.0, 1.0)
+        post0 = np.clip(p * (1.0 - lam) / np.where(pz0 > 0.0, pz0, 1.0), 0.0, 1.0)
         h_cond = pz1 * _binary_behavioral_h(post1, alpha) + pz0 * _binary_behavioral_h(post0, alpha)
         out = _binary_behavioral_h(p, alpha) - h_cond
     else:

@@ -77,8 +77,8 @@ class SigPolicy:
     def __post_init__(self):
         if self.alpha_max < self.alpha_min:
             raise ParameterError("need alpha_min <= alpha_max")
-        if self.sweep_halfwidth < 0 or self.sweep_step <= 0:
-            raise ParameterError("need sweep_halfwidth >= 0 and sweep_step > 0")
+        if self.sweep_halfwidth < 0 or not 0 < self.sweep_step < math.inf:
+            raise ParameterError("need sweep_halfwidth >= 0 and a finite sweep_step > 0")
         if not 2.0 * self.sweep_halfwidth / self.sweep_step <= MAX_SWEEP_STEPS:
             raise ParameterError(f"need 2 * sweep_halfwidth / sweep_step <= {MAX_SWEEP_STEPS}")
         # sig_alpha's centres run from alpha_min to alpha_max: if alpha_min's
@@ -157,12 +157,8 @@ def sig_alpha(fleet: FleetState, policy: SigPolicy) -> float:
 def sig_sweep_grid(alpha_hat: float, policy: SigPolicy) -> list[float]:
     """Sweep values alpha_hat - eps ... alpha_hat + eps, clipped to > 0."""
     eps, step = policy.sweep_halfwidth, policy.sweep_step
-    if eps == 0.0:
-        grid = [alpha_hat]
-    else:
-        n = int(math.floor(2.0 * eps / step + 1e-9))
-        grid = [alpha_hat - eps + k * step for k in range(n + 1)]
-    grid = [a for a in grid if a > 0.0]
+    n = int(math.floor(2.0 * eps / step + 1e-9))  # 0 for a zero halfwidth: [alpha_hat]
+    grid = [a for a in (alpha_hat - eps + k * step for k in range(n + 1)) if a > 0.0]
     if not grid:
         raise ParameterError("alpha sweep is empty after clipping to positive values")
     return grid
@@ -177,12 +173,9 @@ def sig_select_path(fleet: FleetState, policy: SigPolicy, belief: BeliefMap, sta
     expected information at its own alpha; ties go to the smaller alpha.
     """
     alphas = sig_sweep_grid(sig_alpha(fleet, policy), policy)
-    best = None
     found = plan_paths(belief, start, plan, channel, [(mask, a) for a in alphas])
-    for a, (s, cells) in zip(alphas, found):
-        if best is None or s > best[0]:
-            best = (s, a, cells)
-    return Trajectory._of_ints(start, best[2]), best[1]
+    best = max(range(len(alphas)), key=lambda k: found[k][0])  # max keeps the first best
+    return Trajectory._of_ints(start, found[best][1]), alphas[best]
 
 
 def tid_should_trigger(fleet: FleetState, policy: TriggerPolicy) -> bool:

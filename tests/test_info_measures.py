@@ -12,7 +12,7 @@ from bapp.info_measures import (MAX_ALPHA, AlphaSearchResult, BehaviorParams, Bi
                                 behavioral_entropy, binary_behavioral_entropy, binary_entropy,
                                 delta_mi, find_informative_alpha, mi_behavioral, mi_bgs,
                                 prelec_weight, shannon_entropy)
-from bapp.info_measures import _binary_beta, _binary_behavioral_h, _binary_h, _prelec, _xlogx
+from bapp.info_measures import _binary_beta, _binary_behavioral_h, _binary_h, _pow, _prelec, _xlogx
 
 
 def mi_joint_oracle(p, lam, gam):
@@ -392,3 +392,140 @@ def test_measures_at_max_alpha_are_finite_without_warnings(channel):
         values.append(binary_behavioral_entropy(EXTREME_P, MAX_ALPHA))
         values += [behavioral_entropy(np.full(m, 1.0 / m), MAX_ALPHA) for m in (2, 10, 10 ** 6)]
     assert all(np.isfinite(v).all() for v in values)
+
+
+# The kernels as they were before the one-mask Prelec weight and the pair
+# call for the channel's entropies, kept as the reference that every public
+# measure must match bit for bit, the sign of zero included.
+
+def reference_prelec(p, alpha, beta):
+    p = np.asarray(p, dtype=float)
+    out = np.zeros(np.broadcast_shapes(p.shape, np.shape(alpha), np.shape(beta)))
+    inner = (p > 0.0) & (p < 1.0)
+    neglog = np.where(p > 0.0, -np.log(np.where(p > 0.0, p, 1.0)), np.inf)
+    out = np.where(
+        inner,
+        np.exp(-np.asarray(beta, dtype=float)
+               * _pow(np.where(inner, neglog, 1.0), np.asarray(alpha, dtype=float))),
+        out,
+    )
+    out = np.where(p >= 1.0, 1.0, out)
+    return out
+
+
+def reference_xlogx(x):
+    x = np.asarray(x, dtype=float)
+    return np.where(x > 0.0, x * np.log(np.where(x > 0.0, x, 1.0)), 0.0)
+
+
+def reference_binary_h(p):
+    return -(reference_xlogx(p) + reference_xlogx(1.0 - p))
+
+
+def reference_binary_behavioral_h(p, alpha):
+    p = np.asarray(p, dtype=float)
+    p = p.reshape((1,) * (np.ndim(alpha) - p.ndim) + p.shape)
+    terms = reference_xlogx(reference_prelec(np.stack((p, 1.0 - p)), alpha, _binary_beta(alpha)))
+    return -(terms[0] + terms[1])
+
+
+def reference_mi_bgs(p, lam, gam):
+    joint = [
+        (p * lam, p, lambda pz1, pz0: pz1),
+        (p * (1.0 - lam), p, lambda pz1, pz0: pz0),
+        ((1.0 - p) * gam, 1.0 - p, lambda pz1, pz0: pz1),
+        ((1.0 - p) * (1.0 - gam), 1.0 - p, lambda pz1, pz0: pz0),
+    ]
+    pz1 = p * lam + (1.0 - p) * gam
+    pz0 = 1.0 - pz1
+    total = np.zeros_like(p, dtype=float)
+    for pxz, px, select_pz in joint:
+        pz = select_pz(pz1, pz0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            term = np.where(
+                pxz > 0.0,
+                pxz * np.log(np.where(pxz > 0.0, pxz, 1.0) / np.where(pxz > 0.0, px * pz, 1.0)),
+                0.0,
+            )
+        total = total + term
+    return np.maximum(total, 0.0)
+
+
+def reference_mi_behavioral(p, lam, gam, alpha, form):
+    if form is MiForm.CHANNEL:
+        w = reference_prelec(p, alpha, _binary_beta(alpha))
+        perceived = w * lam + (1.0 - w) * gam
+        return reference_binary_behavioral_h(perceived, alpha) - (
+            w * reference_binary_h(lam) + (1.0 - w) * reference_binary_h(gam))
+    pz1 = p * lam + (1.0 - p) * gam
+    pz0 = 1.0 - pz1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        post1 = np.where(pz1 > 0.0, p * lam / np.where(pz1 > 0.0, pz1, 1.0), 0.0)
+        post0 = np.where(pz0 > 0.0, p * (1.0 - lam) / np.where(pz0 > 0.0, pz0, 1.0), 0.0)
+    post1 = np.clip(post1, 0.0, 1.0)
+    post0 = np.clip(post0, 0.0, 1.0)
+    h_cond = (pz1 * reference_binary_behavioral_h(post1, alpha)
+              + pz0 * reference_binary_behavioral_h(post0, alpha))
+    return reference_binary_behavioral_h(p, alpha) - h_cond
+
+
+def reference_delta_mi(p, tpr, fpr, alpha):
+    w = reference_prelec(p, alpha, _binary_beta(alpha))
+    perceived = w * tpr + (1.0 - w) * fpr
+    delta_h_obs = (reference_binary_behavioral_h(perceived, alpha)
+                   - reference_binary_h(p * tpr + (1.0 - p) * fpr))
+    weighted = (reference_binary_h(fpr) - reference_binary_h(tpr)) * (w - p)
+    return weighted + delta_h_obs, weighted, delta_h_obs
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), (got, want)
+
+
+EDGE_P = [0.0, -0.0, 1.0, 5e-324, 2.0 ** -53, 1.0 - 2.0 ** -53]
+EDGE_ALPHAS = [np.array([[0.5], [2.0], [1.0], [100.0]]), 0.5, 2.0, 1.0, 100.0]
+
+
+@pytest.mark.parametrize("alpha", EDGE_ALPHAS, ids=["column", "0.5", "2", "1", "100"])
+@pytest.mark.parametrize("tpr, fpr", [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0),
+                                      (0.7, 1.0), (0.7, 0.1), (0.99, 0.01), (0.3, -0.0)])
+def test_measures_keep_the_reference_bits_on_edge_inputs(tpr, fpr, alpha):
+    # with fpr = 1 a tiny prior rounds P(Z=1) to 1, so P(Z=0) is 0 while
+    # the posterior's numerator p * (1 - tpr) is not
+    channel = BinaryChannel(tpr, fpr)
+    p = np.array(EDGE_P)
+    for prior in [p, *EDGE_P]:
+        q = np.asarray(prior)
+        for form in MiForm:
+            assert_same_bits(mi_behavioral(prior, channel, alpha, form),
+                             reference_mi_behavioral(q, tpr, fpr, np.asarray(alpha), form))
+        assert_same_bits(mi_bgs(prior, channel), reference_mi_bgs(q, tpr, fpr))
+        for got, want in zip(delta_mi(prior, tpr, fpr, alpha),
+                             reference_delta_mi(q, tpr, fpr, np.asarray(alpha))):
+            assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("alpha", EDGE_ALPHAS, ids=["column", "0.5", "2", "1", "100"])
+def test_entropies_keep_the_reference_bits_on_edge_inputs(alpha):
+    for prior in [np.array(EDGE_P), *EDGE_P]:
+        q = np.asarray(prior)
+        assert_same_bits(binary_behavioral_entropy(prior, alpha),
+                         reference_binary_behavioral_h(q, np.asarray(alpha)))
+        for base in (math.e, 2.0):
+            assert_same_bits(binary_entropy(prior, base), reference_binary_h(q) / math.log(base))
+    if np.ndim(alpha):
+        return
+    for m in (2, 3, 10):
+        params = BehaviorParams(alpha, support_size=m)
+        for prior in [np.array(EDGE_P), *EDGE_P]:
+            assert_same_bits(prelec_weight(prior, params),
+                             reference_prelec(np.asarray(prior), params.alpha, params.beta))
+    for dist in ([0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [5e-324, 1.0], [2.0 ** -53, 1.0 - 2.0 ** -53],
+                 [0.5, 0.5], [0.25, -0.0, 0.25, 0.5]):
+        arr = np.array(dist)
+        assert_same_bits(shannon_entropy(dist), -reference_xlogx(arr).sum())
+        beta = BehaviorParams(alpha, support_size=arr.size).beta
+        assert_same_bits(behavioral_entropy(dist, alpha),
+                         -reference_xlogx(reference_prelec(arr, alpha, beta)).sum())

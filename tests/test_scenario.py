@@ -96,6 +96,7 @@ def test_shipped_files_match_builtins():
     pytest.param("rows = 0", [], id="rows-0"),
     pytest.param("trials = 0", [], id="trials-0"),
     pytest.param("explore_radius = nan", [], id="explore-radius-nan"),
+    pytest.param("relocate = true\nexplore_radius = 1e200", [], id="explore-radius-square-overflows"),
     pytest.param("master_seed = -1", [], id="master-seed-negative"),
     pytest.param("deployment_budget = " + "9" * 400, [], id="budget-400-digits"),
     pytest.param("sig_alpha_min = 0.1\nsig_halfwidth = 0.5\nsig_step = 2.0",
@@ -114,6 +115,25 @@ def test_bad_input_exits_2_before_any_trial(tmp_path, capsys, extra_lines, extra
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
     assert not (out / "deployments.csv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    pytest.param(["simulate", "--scenario", "proof-10x10", "--trials", "1"], id="simulate"),
+    pytest.param(["theory-sweep"], id="theory-sweep"),
+])
+def test_out_naming_a_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the output directory was made")
+
+    monkeypatch.setattr(cli, "run_experiment", no_work)
+    monkeypatch.setattr(cli, "theory_sweep", no_work)
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert main([*command, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert out.read_text() == "not a directory\n"
 
 
 VALUES = st.one_of(

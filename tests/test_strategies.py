@@ -58,6 +58,11 @@ class TestSweepGrid:
         assert min(grid) > 0.0
         assert grid == pytest.approx([0.1, 0.2, 0.3])
 
+    def test_infinite_step_is_refused(self):
+        # 0 * inf is nan: even a zero halfwidth's one alpha would be lost
+        with pytest.raises(ParameterError, match="finite sweep_step"):
+            SigPolicy(sweep_halfwidth=0.0, sweep_step=math.inf)
+
     def test_empty_after_clipping(self):
         with pytest.raises(ParameterError):
             sig_sweep_grid(0.1, SigPolicy(sweep_halfwidth=0.5, sweep_step=2.0))
