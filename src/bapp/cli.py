@@ -13,8 +13,8 @@ import numpy as np
 
 from .belief import GridDims
 from .errors import ParameterError, ScenarioError
-from .experiment import (MAX_SWEEP_ROWS, run_experiment, theory_sweep, write_bases_csv,
-                         write_deployments_csv, write_paths_csv,
+from .experiment import (MAX_SWEEP_ROWS, _check_sweep_grids, run_experiment, theory_sweep,
+                         write_bases_csv, write_deployments_csv, write_paths_csv,
                          write_summary_json, write_theory_csvs)
 from .info_measures import BinaryChannel
 from .oracles import exhaustive_plan, joint_posterior, martingale_gap, posterior_by_enumeration
@@ -90,11 +90,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_theory_sweep(args) -> int:
     grids = [_parse_grid(g) for g in (args.alpha_grid, args.prior_grid, args.lambda_grid, args.gamma_grid)]
-    _make_out_dir(args.out)
     try:
-        result = theory_sweep(*grids)
+        _check_sweep_grids(*grids)
     except ParameterError as exc:  # the grids come only from the flags
         raise ScenarioError(str(exc)) from exc
+    _make_out_dir(args.out)
+    result = theory_sweep(*grids)
     write_theory_csvs(args.out, result)
     n_rows = result.delta_i.size
     print(f"theory sweep: {n_rows} rows -> {args.out}")
@@ -151,8 +152,7 @@ def _cmd_oracle_check(args) -> int:
 
     # the belief is exact per deployment, not across them: report how far it
     # drifts from the joint posterior over a tiny mission (not a pass/fail)
-    mission = MissionConfig(dims=dims, team_size=1, deployment_budget=12,
-                            strategy=StrategyKind.STD_ITP, master_seed=args.seed,
+    mission = MissionConfig(dims=dims, deployment_budget=12, master_seed=args.seed,
                             plan=PlanConfig(horizon=4))
     channel = mission.channels()[AgentClass.DISPOSABLE]
     belief = init_uniform(dims)

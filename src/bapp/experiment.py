@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .info_measures import delta_mi
+from .info_measures import _as_prob, _check_alpha, delta_mi
 from .sim import MissionConfig, TrialMetrics, run_trial
 
 __all__ = [
@@ -205,13 +205,9 @@ class TheorySweepResult:
     zero_contour: list       # (alpha, p) points where avg_delta_i crosses 0
 
 
-def theory_sweep(alpha_grid, prior_grid, lambda_grid, gamma_grid) -> TheorySweepResult:
-    """Behavioral-vs-Shannon information gain across the parameter grids.
-
-    Produces the per-configuration gain surface, the sensor-averaged
-    surface, and the zero-gain contour of the averaged surface (linear
-    interpolation between adjacent prior grid points with a sign change).
-    """
+def _check_sweep_grids(alpha_grid, prior_grid, lambda_grid, gamma_grid) -> tuple[np.ndarray, ...]:
+    """The four grids as float arrays; a ParameterError unless each is
+    non-empty and in its domain and they make at most MAX_SWEEP_ROWS rows."""
     grids = [list(g) for g in (alpha_grid, prior_grid, lambda_grid, gamma_grid)]
     for name, g in zip(("alpha", "prior", "lambda", "gamma"), grids):
         if not g:
@@ -220,6 +216,19 @@ def theory_sweep(alpha_grid, prior_grid, lambda_grid, gamma_grid) -> TheorySweep
     if rows > MAX_SWEEP_ROWS:
         raise ParameterError(f"the sweep has {rows:,} rows, more than {MAX_SWEEP_ROWS:,}")
     a, p, lam, gam = (np.asarray(g, dtype=float) for g in grids)
+    for g, name in ((p, "prior"), (lam, "tpr"), (gam, "fpr")):  # delta_mi's checks, in its order
+        _as_prob(g, name)
+    return _check_alpha(a), p, lam, gam
+
+
+def theory_sweep(alpha_grid, prior_grid, lambda_grid, gamma_grid) -> TheorySweepResult:
+    """Behavioral-vs-Shannon information gain across the parameter grids.
+
+    Produces the per-configuration gain surface, the sensor-averaged
+    surface, and the zero-gain contour of the averaged surface (linear
+    interpolation between adjacent prior grid points with a sign change).
+    """
+    a, p, lam, gam = _check_sweep_grids(alpha_grid, prior_grid, lambda_grid, gamma_grid)
     terms = delta_mi(
         p[None, :, None, None],
         lam[None, None, :, None],

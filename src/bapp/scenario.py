@@ -1,71 +1,84 @@
 """Scenario files: flat key = value text mapped onto MissionConfig.
 
 Lines are `key = value`, blank lines and `#` comments are ignored, unknown
-keys are rejected. Named built-in scenarios cover the desk-scale studies:
-a 10x10 single-agent proof run, 20x20 team-size scaling, and the four
-equal-energy team shapes (team size x horizon = 105).
+or repeated keys are rejected. Named built-in scenarios cover the
+desk-scale studies: a 10x10 single-agent proof run, 20x20 team-size
+scaling, and the four equal-energy team shapes (team size x horizon = 105).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import functools
 import math
 import os
-from typing import Optional
 
 from .belief import GridDims
-from .coordination import RelocationPolicy
 from .errors import ParameterError, ScenarioError
-from .info_measures import MiForm
-from .planner import PlanConfig
-from .sim import AgentSpec, MissionConfig
-from .strategies import SigPolicy, StrategyKind, TriggerPolicy
+from .sim import MissionConfig
 
 __all__ = ["load_scenario", "parse_scenario_text", "builtin_scenarios", "scenario_to_text"]
 
-# key -> (type, default), in scenario-file order
-_SCHEMA = {
+# scenario key -> the MissionConfig field it sets, in scenario-file order
+_FIELDS = {
     # world / mission
-    "rows": (int, 10),
-    "cols": (int, 10),
-    "lethality": (float, 0.7),
-    "hazard_density": (float, 0.18),
-    "team_size": (int, 1),
-    "horizon": (int, 15),
-    "deployment_budget": (int, 40),
-    "strategy": (str, "std-itp"),
-    "master_seed": (int, 20240501),
-    "trials": (int, 25),
-    "base_cell": (str, "center"),  # "center" or an integer cell index
+    "rows": "dims.rows",
+    "cols": "dims.cols",
+    "lethality": "lethality",
+    "hazard_density": "hazard_density",
+    "team_size": "team_size",
+    "horizon": "plan.horizon",
+    "deployment_budget": "deployment_budget",
+    "strategy": "strategy",
+    "master_seed": "master_seed",
+    "trials": None,  # run_experiment's trial count
+    "base_cell": "base_cell",
     # agents
-    "disposable_gamma": (float, 0.10),
-    "disposable_stock": (int, -1),  # -1: MissionConfig's default stock
-    "highfid_gamma": (float, 0.01),
-    "highfid_stock": (int, -1),     # -1: MissionConfig's default stock
+    "disposable_gamma": "disposable.malfunction_rate",
+    "disposable_stock": "disposable.stock",
+    "highfid_gamma": "high_fidelity.malfunction_rate",
+    "highfid_stock": "high_fidelity.stock",
     # planner
-    "beam_width": (int, 64),
-    "mi_form": (str, "posterior"),  # "posterior" | "channel"
+    "beam_width": "plan.beam_width",
+    "mi_form": "plan.mi_form",
     # bapp-sig
-    "sig_alpha_min": (float, 0.5),
-    "sig_alpha_max": (float, 1.5),
-    "sig_halfwidth": (float, 0.2),
-    "sig_step": (float, 0.1),
+    "sig_alpha_min": "sig.alpha_min",
+    "sig_alpha_max": "sig.alpha_max",
+    "sig_halfwidth": "sig.sweep_halfwidth",
+    "sig_step": "sig.sweep_step",
     # bapp-tid
-    "tid_window": (int, 3),
-    "tid_theta_early": (float, 0.02),
-    "tid_phase_switch": (int, -1),  # -1: 30% of the budget
-    "tid_eps_min": (float, 0.01),
-    "tid_eps_max": (float, 0.05),
-    "tid_decay_rate": (float, 0.001),
-    "tid_alpha_explore": (float, 1.2),
-    "tid_alpha_hf": (float, 1.0),
+    "tid_window": "trigger.window",
+    "tid_theta_early": "trigger.theta_early",
+    "tid_phase_switch": "trigger.phase_switch",
+    "tid_eps_min": "trigger.eps_min",
+    "tid_eps_max": "trigger.eps_max",
+    "tid_decay_rate": "trigger.decay_rate",
+    "tid_alpha_explore": "trigger.alpha_explore",
+    "tid_alpha_hf": "trigger.alpha_hf",
     # base relocation
-    "relocate": (bool, False),
-    "relocation_cadence": (int, 1),
-    "explore_radius": (float, 8.0),
-    "search_radius": (float, 4.0),
-    "safety_threshold": (float, 0.6),
+    "relocate": "relocate",
+    "relocation_cadence": "relocation.cadence",
+    "explore_radius": "relocation.explore_radius",
+    "search_radius": "relocation.search_radius",
+    "safety_threshold": "relocation.safety_threshold",
 }
-_DEFAULTS = {key: default for key, (_, default) in _SCHEMA.items()}
+# the keys whose scenario default is not the library's, on purpose
+_SENTINELS = {
+    "trials": 25,             # run_experiment takes no default
+    "master_seed": 20240501,  # a fixed study seed; MissionConfig's is 0
+    "base_cell": "center",    # "center" (None) or an integer cell index
+    "disposable_stock": -1,   # -1 is None: MissionConfig's default stock
+    "highfid_stock": -1,
+    "tid_phase_switch": -1,   # -1: 30% of the budget; TriggerPolicy's is 12
+}
+# every other key's default is its field's on a default-built mission (an
+# enum's as its value string), and each key takes its default's type
+_LIBRARY = MissionConfig(GridDims(10, 10))
+_DEFAULTS = {key: _SENTINELS[key] if key in _SENTINELS else functools.reduce(getattr, path.split("."), _LIBRARY)
+             for key, path in _FIELDS.items()}
+_ENUMS = {key: type(v) for key, v in _DEFAULTS.items() if isinstance(v, enum.Enum)}
+_DEFAULTS.update((key, _DEFAULTS[key].value) for key in _ENUMS)
 
 
 def _parse_bool(raw: str) -> bool:
@@ -78,9 +91,10 @@ def _parse_bool(raw: str) -> bool:
 
 
 def parse_scenario_text(text: str) -> dict:
-    """Parse key = value lines against the schema; unknown keys and
-    non-finite floats are errors."""
+    """Parse key = value lines against the schema; unknown or repeated keys
+    and non-finite floats are errors."""
     values = dict(_DEFAULTS)
+    seen = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -88,9 +102,12 @@ def parse_scenario_text(text: str) -> dict:
         if "=" not in stripped:
             raise ScenarioError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _SCHEMA:
+        if key not in _FIELDS:
             raise ScenarioError(f"line {lineno}: unknown key {key!r}")
-        typ = _SCHEMA[key][0]
+        if key in seen:
+            raise ScenarioError(f"line {lineno}: {key!r} is already set on line {seen[key]}")
+        seen[key] = lineno
+        typ = type(_DEFAULTS[key])
         try:
             value = _parse_bool(raw) if typ is bool else typ(raw)
         except ValueError as exc:
@@ -103,59 +120,42 @@ def parse_scenario_text(text: str) -> dict:
 
 def _config_from_values(values: dict) -> tuple[MissionConfig, int]:
     """Build and check the mission; every failure is a ScenarioError."""
-    try:
-        strategy = StrategyKind(values["strategy"])
-    except ValueError:
-        raise ScenarioError(f"unknown strategy {values['strategy']!r}") from None
-    try:
-        mi_form = MiForm(values["mi_form"])
-    except ValueError:
-        raise ScenarioError(f"unknown mi_form {values['mi_form']!r}") from None
+    fields = dict(values)  # key -> the value its field takes
+    for key, kind in _ENUMS.items():
+        try:
+            fields[key] = kind(values[key])
+        except ValueError:
+            raise ScenarioError(f"unknown {key} {values[key]!r}") from None
     if values["trials"] < 1:
         raise ScenarioError(f"trials must be >= 1, got {values['trials']}")
 
-    budget = values["deployment_budget"]
     # a negative stock is the class's default, which MissionConfig fills in
-    disp_stock, hf_stock = (None if values[key] < 0 else values[key]
-                            for key in ("disposable_stock", "highfid_stock"))
-    phase_switch = values["tid_phase_switch"]
-    if phase_switch < 0:
+    fields.update((key, None) for key in ("disposable_stock", "highfid_stock") if values[key] < 0)
+    if values["tid_phase_switch"] < 0:
         try:
-            phase_switch = max(1, int(round(0.3 * budget)))
+            fields["tid_phase_switch"] = max(1, int(round(0.3 * values["deployment_budget"])))
         except OverflowError:
-            raise ScenarioError(f"deployment_budget {budget} is too large") from None
+            raise ScenarioError(f"deployment_budget {values['deployment_budget']} is too large") from None
 
     base_raw = values["base_cell"].strip().lower()
     if base_raw == "center":
-        base_cell: Optional[int] = None
+        fields["base_cell"] = None
     else:
         try:
-            base_cell = int(base_raw)
+            fields["base_cell"] = int(base_raw)
         except ValueError:
             raise ScenarioError(f"base_cell must be 'center' or an integer, got {values['base_cell']!r}") from None
 
+    # MissionConfig's keywords, a nested config's as a dict of its own; the
+    # nested configs come first, in field order, so they are checked in it
+    kwargs = {name: {} for name, v in vars(_LIBRARY).items() if dataclasses.is_dataclass(v)}
+    for key, path in _FIELDS.items():
+        if path:
+            slot, _, name = path.rpartition(".")
+            (kwargs[slot] if slot else kwargs)[name] = fields[key]
     try:
-        config = MissionConfig(
-            dims=GridDims(values["rows"], values["cols"]),
-            lethality=values["lethality"],
-            hazard_density=values["hazard_density"],
-            team_size=values["team_size"],
-            deployment_budget=budget,
-            strategy=strategy,
-            master_seed=values["master_seed"],
-            disposable=AgentSpec(values["disposable_gamma"], disp_stock),
-            high_fidelity=AgentSpec(values["highfid_gamma"], hf_stock),
-            plan=PlanConfig(horizon=values["horizon"], beam_width=values["beam_width"], mi_form=mi_form),
-            sig=SigPolicy(values["sig_alpha_min"], values["sig_alpha_max"],
-                          values["sig_halfwidth"], values["sig_step"]),
-            trigger=TriggerPolicy(values["tid_window"], values["tid_theta_early"], phase_switch,
-                                  values["tid_eps_min"], values["tid_eps_max"], values["tid_decay_rate"],
-                                  values["tid_alpha_explore"], values["tid_alpha_hf"]),
-            relocation=RelocationPolicy(values["explore_radius"], values["search_radius"],
-                                        values["safety_threshold"], values["relocation_cadence"]),
-            relocate=values["relocate"],
-            base_cell=base_cell,
-        )
+        config = MissionConfig(**{name: type(getattr(_LIBRARY, name))(**v) if isinstance(v, dict) else v
+                                  for name, v in kwargs.items()})
     except ParameterError as exc:
         raise ScenarioError(str(exc)) from exc
     return config, values["trials"]
@@ -201,7 +201,7 @@ def scenario_to_text(name: str) -> str:
         raise ScenarioError(f"unknown built-in scenario {name!r}")
     values = {**_DEFAULTS, **_BUILTINS[name]}
     lines = [f"# scenario: {name}"]
-    for key in _SCHEMA:
+    for key in _FIELDS:
         v = values[key]
         if isinstance(v, bool):
             v = "true" if v else "false"

@@ -5,8 +5,9 @@ turns into one stderr line and exit code 2 before any trial runs or any
 CSV is written; bad theory-sweep and oracle-check flags fail the same way.
 """
 
-import dataclasses
 import enum
+import functools
+import inspect
 from pathlib import Path
 
 import pytest
@@ -15,13 +16,13 @@ from hypothesis import strategies as st
 
 from bapp import cli
 from bapp.cli import main
-from bapp.coordination import RelocationPolicy
+from bapp.belief import GridDims
 from bapp.errors import ParameterError, ScenarioError
-from bapp.experiment import MAX_SWEEP_ROWS, theory_sweep
-from bapp.planner import PlanConfig
-from bapp.scenario import _SCHEMA, builtin_scenarios, load_scenario, scenario_to_text
+from bapp.experiment import MAX_SWEEP_ROWS, run_experiment, theory_sweep
+from bapp.scenario import (_SENTINELS, builtin_scenarios, load_scenario, parse_scenario_text,
+                           scenario_to_text)
 from bapp.sim import MissionConfig
-from bapp.strategies import MAX_SWEEP_STEPS, SigPolicy, TriggerPolicy, sig_sweep_grid
+from bapp.strategies import MAX_SWEEP_STEPS, sig_sweep_grid
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -29,46 +30,44 @@ TINY = ("rows = 5\ncols = 5\nhorizon = 4\ndeployment_budget = 4\n"
         "hazard_density = 0.08\nbeam_width = 8\ntrials = 2\nmaster_seed = 11\n")
 
 
-def library_default(cls, name):
-    """The default of dataclass field `name` of `cls`, from its default or factory."""
-    [f] = [f for f in dataclasses.fields(cls) if f.name == name]
-    return f.default if f.default is not dataclasses.MISSING else f.default_factory()
-
-
-# scenario key -> the library default the schema restates
-SAME_DEFAULT = {
-    **{key: library_default(MissionConfig, key) for key in (
-        "lethality", "hazard_density", "team_size", "deployment_budget", "strategy", "relocate")},
-    "disposable_gamma": library_default(MissionConfig, "disposable").malfunction_rate,
-    "highfid_gamma": library_default(MissionConfig, "high_fidelity").malfunction_rate,
-    **{key: library_default(PlanConfig, key) for key in ("horizon", "beam_width", "mi_form")},
-    "sig_alpha_min": library_default(SigPolicy, "alpha_min"),
-    "sig_alpha_max": library_default(SigPolicy, "alpha_max"),
-    "sig_halfwidth": library_default(SigPolicy, "sweep_halfwidth"),
-    "sig_step": library_default(SigPolicy, "sweep_step"),
-    **{f"tid_{key}": library_default(TriggerPolicy, key) for key in (
-        "window", "theta_early", "eps_min", "eps_max", "decay_rate", "alpha_explore", "alpha_hf")},
-    "relocation_cadence": library_default(RelocationPolicy, "cadence"),
-    **{key: library_default(RelocationPolicy, key) for key in (
-        "explore_radius", "search_radius", "safety_threshold")},
+# what each scenario key sets, stated apart from scenario.py's own table so
+# that a key wired to the wrong field fails here; None is the trial count
+FIELD_OF_KEY = {
+    "rows": "dims.rows", "cols": "dims.cols", "lethality": "lethality",
+    "hazard_density": "hazard_density", "team_size": "team_size", "horizon": "plan.horizon",
+    "deployment_budget": "deployment_budget", "strategy": "strategy", "master_seed": "master_seed",
+    "trials": None, "base_cell": "base_cell",
+    "disposable_gamma": "disposable.malfunction_rate", "disposable_stock": "disposable.stock",
+    "highfid_gamma": "high_fidelity.malfunction_rate", "highfid_stock": "high_fidelity.stock",
+    "beam_width": "plan.beam_width", "mi_form": "plan.mi_form",
+    "sig_alpha_min": "sig.alpha_min", "sig_alpha_max": "sig.alpha_max",
+    "sig_halfwidth": "sig.sweep_halfwidth", "sig_step": "sig.sweep_step",
+    "tid_window": "trigger.window", "tid_theta_early": "trigger.theta_early",
+    "tid_phase_switch": "trigger.phase_switch", "tid_eps_min": "trigger.eps_min",
+    "tid_eps_max": "trigger.eps_max", "tid_decay_rate": "trigger.decay_rate",
+    "tid_alpha_explore": "trigger.alpha_explore", "tid_alpha_hf": "trigger.alpha_hf",
+    "relocate": "relocate", "relocation_cadence": "relocation.cadence",
+    "explore_radius": "relocation.explore_radius", "search_radius": "relocation.search_radius",
+    "safety_threshold": "relocation.safety_threshold",
 }
-# scenario key -> the library default it differs from on purpose
-DIFFERENT_DEFAULT = {
-    "master_seed": library_default(MissionConfig, "master_seed"),        # a fixed study seed
-    "tid_phase_switch": library_default(TriggerPolicy, "phase_switch"),  # -1: 30% of the budget
-    "disposable_stock": library_default(MissionConfig, "disposable").stock,     # -1 for None
-    "highfid_stock": library_default(MissionConfig, "high_fidelity").stock,     # -1 for None
-    "base_cell": library_default(MissionConfig, "base_cell"),            # "center" for None
-}
-NO_LIBRARY_DEFAULT = {"rows", "cols", "trials"}  # GridDims and run_experiment take no default
 
 
-def test_schema_defaults_equal_the_library_defaults():
-    assert set(SAME_DEFAULT) | set(DIFFERENT_DEFAULT) | NO_LIBRARY_DEFAULT == set(_SCHEMA)
-    for key, library in SAME_DEFAULT.items():
-        assert _SCHEMA[key][1] == (library.value if isinstance(library, enum.Enum) else library), key
-    for key, library in DIFFERENT_DEFAULT.items():
-        assert _SCHEMA[key][1] != library, key
+def field_value(config, path):
+    """The value at a dotted field path of a MissionConfig, an enum as its value string."""
+    value = functools.reduce(getattr, path.split("."), config)
+    return value.value if isinstance(value, enum.Enum) else value
+
+
+def test_only_the_sentinels_differ_from_the_library_defaults():
+    # every other key takes its field's default; no sentinel restates one
+    library = MissionConfig(GridDims(10, 10))
+    defaults = parse_scenario_text("")
+    for key, path in FIELD_OF_KEY.items():
+        if path is None:
+            assert key in _SENTINELS, key  # run_experiment takes no trial count by default
+            assert inspect.signature(run_experiment).parameters[key].default is inspect.Parameter.empty
+        else:
+            assert (defaults[key] != field_value(library, path)) == (key in _SENTINELS), key
 
 
 # every key of the scenario schema, in file order
@@ -79,6 +78,29 @@ def test_shipped_files_match_builtins():
     assert sorted(p.stem for p in SCENARIO_DIR.glob("*.txt")) == list(builtin_scenarios())
     for name in builtin_scenarios():
         assert (SCENARIO_DIR / f"{name}.txt").read_bytes() == scenario_to_text(name).encode()
+
+
+# a valid non-default value for a key no generic rule covers: (text, loaded value)
+ALTERNATIVES = {"strategy": ("bapp-sig", "bapp-sig"), "mi_form": ("channel", "channel"), "base_cell": ("0", 0)}
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_every_key_round_trips_to_its_field(tmp_path, key):
+    default = parse_scenario_text("")[key]
+    if key in ALTERNATIVES:
+        text, value = ALTERNATIVES[key]
+    else:  # -1 sentinels become 0
+        value = (not default if isinstance(default, bool)
+                 else default + 1 if isinstance(default, int) else 0.9 * default)
+        text = str(value)
+    one, none = tmp_path / "one.txt", tmp_path / "none.txt"
+    one.write_text(f"{key} = {text}\n")
+    none.write_text("")
+    (config, trials), (default_config, default_trials) = load_scenario(str(one)), load_scenario(str(none))
+    field = FIELD_OF_KEY[key]
+    got, was = (trials, default_trials) if field is None else (
+        field_value(config, field), field_value(default_config, field))
+    assert got == value != was
 
 
 @pytest.mark.parametrize("extra_lines, extra_args", [
@@ -105,10 +127,14 @@ def test_shipped_files_match_builtins():
                  ["--strategy", "bapp-sig"], id="sig-sweep-overflow"),
     pytest.param("sig_alpha_max = 1e6", ["--strategy", "bapp-sig"], id="sig-alpha-max-1e6"),
     pytest.param("tid_alpha_explore = 200", ["--strategy", "bapp-tid"], id="tid-alpha-explore-200"),
+    pytest.param("horizon = 4\nhorizon = 9", [], id="repeated-key"),
 ])
 def test_bad_input_exits_2_before_any_trial(tmp_path, capsys, extra_lines, extra_args):
+    # a row's lines replace TINY's line for the same key, so only the row's own fault fails
+    keys = {line.split("=")[0].strip() for line in extra_lines.splitlines()}
+    kept = [line for line in TINY.splitlines() if line.split("=")[0].strip() not in keys]
     scen = tmp_path / "bad.txt"
-    scen.write_text(TINY + extra_lines + "\n")
+    scen.write_text("\n".join([*kept, extra_lines]) + "\n")
     out = tmp_path / "out"
     assert main(["simulate", "--scenario", str(scen), "--out", str(out), *extra_args]) == 2
     err = capsys.readouterr().err
@@ -183,7 +209,7 @@ def test_bad_theory_sweep_flag_exits_2(tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
-    assert not (out / "theory_sweep.csv").exists()
+    assert not out.exists()
 
 
 def test_grid_point_count_is_bounded_before_the_points_are_made(monkeypatch):
