@@ -11,7 +11,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -116,10 +116,19 @@ def run_experiment(config: MissionConfig, trials: int, workers: int = 1) -> Expe
     return ExperimentResult(config=config, trials=metrics)
 
 
+def _by_strategy(results: Sequence[ExperimentResult]) -> Iterator[tuple[str, ExperimentResult]]:
+    """(strategy name, result) pairs. The name is all that tells one result's
+    rows and summary entry from another's, so two results may not share it."""
+    names = [res.config.strategy.value for res in results]
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise ParameterError(f"more than one result for strategy {name!r}")
+    return zip(names, results)
+
+
 def write_deployments_csv(path: str, results: Sequence[ExperimentResult]) -> None:
     lines = [DEPLOYMENT_COLUMNS]
-    for res in results:
-        name = res.config.strategy.value
+    for name, res in _by_strategy(results):
         for tm in res.trials:
             for rec in tm.records:
                 lines.append(",".join([
@@ -137,8 +146,7 @@ def write_deployments_csv(path: str, results: Sequence[ExperimentResult]) -> Non
 
 def write_bases_csv(path: str, results: Sequence[ExperimentResult]) -> None:
     lines = ["trial,d,strategy,base_cell"]
-    for res in results:
-        name = res.config.strategy.value
+    for name, res in _by_strategy(results):
         for tm in res.trials:
             for d, cell in enumerate(tm.base_track, start=1):
                 lines.append(f"{tm.trial},{d},{name},{cell}")
@@ -147,8 +155,7 @@ def write_bases_csv(path: str, results: Sequence[ExperimentResult]) -> None:
 
 def write_paths_csv(path: str, results: Sequence[ExperimentResult]) -> None:
     lines = ["trial,d,strategy,sector,start,cells"]
-    for res in results:
-        name = res.config.strategy.value
+    for name, res in _by_strategy(results):
         for tm in res.trials:
             for rec in tm.records:
                 cells = ";".join([str(c) for c in rec.trajectory.cells])
@@ -162,12 +169,12 @@ def _round9(x: float) -> float:
 
 def summary_dict(results: Sequence[ExperimentResult]) -> dict:
     out = {}
-    for res in results:
+    for name, res in _by_strategy(results):
         ent_mean, ent_std = res.entropy_stats()
         loss_mean, loss_std = res.loss_stats()
         d50 = res.deployments_to_half()
         reached = [v for v in d50 if v is not None]
-        out[res.config.strategy.value] = {
+        out[name] = {
             "trials": res.n_trials,
             "rounds": res.config.deployment_budget,
             "team_size": res.config.team_size,
@@ -187,8 +194,9 @@ def summary_dict(results: Sequence[ExperimentResult]) -> dict:
 
 
 def write_summary_json(path: str, results: Sequence[ExperimentResult]) -> None:
+    summary = summary_dict(results)  # before the file is opened: a refused input leaves none
     with open(path, "w") as f:
-        json.dump(summary_dict(results), f, indent=2, sort_keys=True)
+        json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
 
 

@@ -283,7 +283,6 @@ def run_trial(config: MissionConfig, trial: int) -> TrialMetrics:
     records = []
     loss_series = [0]
     base_track = []
-    d50 = None
     round_draws = _round_draws(config, trial)
     masks = sector_masks(base, dims, n)  # built again only when the base moves
 
@@ -313,8 +312,6 @@ def run_trial(config: MissionConfig, trial: int) -> TrialMetrics:
                                             fail_step, h, fleet.r_lost))
         fleet.entropy_history.append(h)
         loss_series.append(fleet.r_lost)
-        if d50 is None and h <= 0.5:
-            d50 = d
 
     return TrialMetrics(
         trial=trial,
@@ -322,7 +319,8 @@ def run_trial(config: MissionConfig, trial: int) -> TrialMetrics:
         entropy_series=fleet.entropy_history,
         loss_series=loss_series,
         base_track=base_track,
-        deployments_to_half=d50,
+        # the first round d >= 1 that leaves at most half a bit
+        deployments_to_half=next((d for d, h in enumerate(fleet.entropy_history) if d and h <= 0.5), None),
         rounds_executed=len(base_track),
         initial_stock=fleet.r_total,
         surviving_stock=fleet.in_stock,

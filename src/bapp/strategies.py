@@ -1,6 +1,6 @@
 """Mission-level deployment policies.
 
-Four strategies are dispatched per deployment:
+Four strategies:
 
   std-itp   Shannon planner (alpha = 1) with a disposable agent.
   random    uniform random walk baseline.
@@ -10,11 +10,13 @@ Four strategies are dispatched per deployment:
   bapp-tid  two-phase triggered deployment of scarce high-fidelity agents
             when the windowed entropy drop stagnates.
 
-plan_round yields a team round's deployments, one sector at a time, from
-the live fleet. std-itp and bapp-tid decide one (class, alpha) per fleet
-state, so it plans every sector of the round in one batched beam, and the
-rest of the round again at a sector whose decision has changed by its
-turn; random and bapp-sig plan each sector at its turn.
+plan_round is the one dispatcher from a strategy to deployments: it
+yields a team round's deployments, one sector at a time, from the live
+fleet, and select_deployment is its one-sector call. std-itp and bapp-tid
+decide one (class, alpha) per fleet state, so plan_round plans every
+sector of the round in one batched beam, and the rest of the round again
+at a sector whose decision has changed by its turn; random and bapp-sig
+plan each sector at its turn.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from .belief import BeliefMap
 from .errors import FleetExhaustedError, ParameterError
 from .info_measures import BinaryChannel, _check_alpha
-from .planner import PlanConfig, Trajectory, plan_path, plan_paths, random_walk
+from .planner import PlanConfig, Trajectory, plan_paths, random_walk
 
 __all__ = [
     "AgentClass",
@@ -207,10 +209,6 @@ def _pick_class(fleet: FleetState, preferred: AgentClass) -> AgentClass:
     raise FleetExhaustedError("no agents left to deploy")
 
 
-# the strategies whose whole decision is one (class, alpha) per fleet state
-_FIXED_ALPHA = (StrategyKind.STD_ITP, StrategyKind.BAPP_TID)
-
-
 def deployment_decision(strategy: StrategyKind, fleet: FleetState,
                         trigger: Optional[TriggerPolicy] = None) -> tuple[AgentClass, float]:
     """(agent class, alpha) of a std-itp or bapp-tid deployment from this fleet state."""
@@ -232,55 +230,53 @@ def plan_round(strategy: StrategyKind, fleet: FleetState, belief: BeliefMap, sta
                ) -> Iterator[tuple[AgentClass, Trajectory, float]]:
     """Each sector's deployment within masks[sector], (agent class, trajectory,
     alpha used), decided from `fleet` as it stands when that sector is asked for.
+    This is the one place where a strategy becomes deployments.
 
     The caller records each sector's outcome in `fleet` before asking for the
-    next; `belief` stays the round-start one. The round ends at a sector with
-    nothing in stock. Each deployment is the one select_deployment makes for
-    that sector, bit for bit: std-itp and bapp-tid plan every sector in one
-    plan_paths pass, and the rest of the round in one more at a sector whose
-    deployment_decision has changed by its turn (a stock ran out); random and
-    bapp-sig call select_deployment at each turn, a random sector walking
-    with words[sector].
+    next; `belief` stays the round-start one. A fleet that runs out ends the
+    round, and one that is empty at the first sector raises
+    FleetExhaustedError. A random sector walks with words[sector], its walk
+    stream's uint32 words (see random_walk). A bapp-sig sector sweeps its
+    alphas at its turn (sig_select_path), because its alpha moves with every
+    loss. std-itp and bapp-tid plan every sector in one plan_paths pass, and
+    the rest of the round in one more at a sector whose deployment_decision
+    has changed by its turn (a stock ran out); each sector gets the path it
+    would get planned alone, bit for bit.
     """
     decision = None
     for sector, mask in enumerate(masks):
-        if not fleet.in_stock:
+        if sector and not fleet.in_stock:
             return
-        if strategy not in _FIXED_ALPHA:
-            yield select_deployment(strategy, fleet, belief, start, plan, channels, mask=mask,
-                                    sig=sig, trigger=trigger,
-                                    words=None if words is None else words[sector])
-            continue
-        now = deployment_decision(strategy, fleet, trigger)
-        if now != decision:
-            # the first sector, or a miss: an earlier sector's loss changed
-            # this one's decision, so the rest of the round is planned again
-            decision, first = now, sector
-            cls, alpha = decision
-            paths = plan_paths(belief, start, plan, channels[cls], [(m, alpha) for m in masks[sector:]])
-        yield cls, Trajectory._of_ints(start, paths[sector - first][1]), alpha
+        # at the first sector, _pick_class raises on an empty fleet
+        if strategy is StrategyKind.RANDOM:
+            cls = _pick_class(fleet, AgentClass.DISPOSABLE)
+            if words is None:
+                raise ParameterError("random strategy needs walk words")
+            yield cls, random_walk(start, plan.horizon, belief.dims, mask, words[sector]), math.nan
+        elif strategy is StrategyKind.BAPP_SIG:
+            if sig is None:
+                raise ParameterError("bapp-sig needs a SigPolicy")
+            cls = _pick_class(fleet, AgentClass.DISPOSABLE)
+            yield (cls, *sig_select_path(fleet, sig, belief, start, plan, channels[cls], mask))
+        else:
+            now = deployment_decision(strategy, fleet, trigger)
+            if now != decision:
+                # the first sector, or a miss: an earlier sector's loss changed
+                # this one's decision, so the rest of the round is planned again
+                cls, alpha = decision = now
+                paths = iter(plan_paths(belief, start, plan, channels[cls], [(m, alpha) for m in masks[sector:]]))
+            yield cls, Trajectory._of_ints(start, next(paths)[1]), alpha
 
 
 def select_deployment(strategy: StrategyKind, fleet: FleetState, belief: BeliefMap, start: int,
                       plan: PlanConfig, channels: dict, mask: Optional[np.ndarray] = None,
                       sig: Optional[SigPolicy] = None, trigger: Optional[TriggerPolicy] = None,
                       words: Optional[Iterable[int]] = None) -> tuple[AgentClass, Trajectory, float]:
-    """Dispatch one deployment decision within `mask`: (agent class, trajectory, alpha used).
+    """One deployment within `mask`, (agent class, trajectory, alpha used): the
+    first of plan_round over the one sector [mask]. Raises FleetExhaustedError
+    on an empty fleet.
 
     A random deployment walks with `words`, its walk stream's uint32 words (see random_walk).
     """
-    if strategy in _FIXED_ALPHA:
-        cls, alpha = deployment_decision(strategy, fleet, trigger)
-        return cls, plan_path(belief, start, plan, channels[cls], mask, alpha), alpha
-    if strategy is StrategyKind.RANDOM:
-        cls = _pick_class(fleet, AgentClass.DISPOSABLE)
-        if words is None:
-            raise ParameterError("random strategy needs walk words")
-        return cls, random_walk(start, plan.horizon, belief.dims, mask, words), math.nan
-    if strategy is StrategyKind.BAPP_SIG:
-        if sig is None:
-            raise ParameterError("bapp-sig needs a SigPolicy")
-        cls = _pick_class(fleet, AgentClass.DISPOSABLE)
-        traj, a = sig_select_path(fleet, sig, belief, start, plan, channels[cls], mask)
-        return cls, traj, a
-    raise ParameterError(f"unknown strategy {strategy!r}")
+    return next(plan_round(strategy, fleet, belief, start, plan, channels, [mask], sig, trigger,
+                           None if words is None else [words]))

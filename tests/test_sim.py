@@ -383,23 +383,26 @@ def _per_sector_round(strategy, fleet, belief, start, plan, channels, masks,
 def _batched_and_per_sector(monkeypatch, config, trial):
     """run_trial as it is, then with _per_sector_round planning each round.
     Also returns how many times the batched run planned the rest of a round
-    again after a miss, and how many sectors it planned through
-    select_deployment."""
+    again after a miss, and how many sectors it planned alone (a bapp-sig
+    sweep or a random walk)."""
     replans, alone = [], []
-    plan_paths, select = strategies.plan_paths, strategies.select_deployment
+    plan_paths = strategies.plan_paths
 
     def plan_spy(belief, start, plan, channel, groups):
         if len(groups) < config.team_size:
             replans.append(len(groups))
         return plan_paths(belief, start, plan, channel, groups)
 
-    def select_spy(*args, **kwargs):
-        alone.append(args[0])
-        return select(*args, **kwargs)
+    def counted(fn):
+        def spy(*args, **kwargs):
+            alone.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return spy
 
     with monkeypatch.context() as m:
         m.setattr(strategies, "plan_paths", plan_spy)
-        m.setattr(strategies, "select_deployment", select_spy)
+        for name in ("sig_select_path", "random_walk"):
+            m.setattr(strategies, name, counted(getattr(strategies, name)))
         got = sim.run_trial(config, trial)
     with monkeypatch.context() as m:
         m.setattr(sim, "plan_round", _per_sector_round)
@@ -569,6 +572,23 @@ class TestOutputFormats:
         assert entry["horizon"] == res.config.plan.horizon == 5
         assert len(entry["entropy_mean"]) == 5
         assert set(entry["deployments_to_half"]) == {"per_trial", "mean_reached", "unreached", "capped_mean"}
+
+    @pytest.mark.parametrize("write", ["write_summary_json", "write_deployments_csv",
+                                       "write_bases_csv", "write_paths_csv"])
+    def test_results_that_share_a_strategy_are_refused(self, tmp_path, write):
+        # the strategy is all that labels a result's rows and summary entry:
+        # two std-itp results used to leave one summary entry, the last one's
+        cfg = small_config(deployment_budget=2)
+        first, second = run_experiment(cfg, trials=2), run_experiment(cfg, trials=3)
+        walks = run_experiment(replace(cfg, strategy=StrategyKind.RANDOM), trials=1)
+        path = tmp_path / "out"
+        with pytest.raises(ParameterError, match="strategy 'std-itp'"):
+            getattr(experiment, write)(str(path), [first, walks, second])
+        assert not path.exists()
+        with pytest.raises(ParameterError, match="strategy 'std-itp'"):
+            experiment.summary_dict([first, second])
+        getattr(experiment, write)(str(path), [first, walks])
+        assert path.exists()
 
 
 class TestTheorySweep:

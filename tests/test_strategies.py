@@ -163,6 +163,30 @@ class TestTidTrigger:
 
 DISP, HF = AgentClass.DISPOSABLE, AgentClass.HIGH_FIDELITY
 TRIGGER = TriggerPolicy(window=2, theta_early=0.05, phase_switch=10, alpha_explore=1.2, alpha_hf=0.8)
+# (strategy, stagnant, hf, disp, want): see TestDeploymentDecision
+DECISION_TABLE = [
+    (StrategyKind.STD_ITP, False, 0, 0, None),
+    (StrategyKind.STD_ITP, False, 0, 3, (DISP, 1.0)),
+    (StrategyKind.STD_ITP, False, 2, 0, (HF, 1.0)),
+    (StrategyKind.STD_ITP, False, 2, 3, (DISP, 1.0)),
+    (StrategyKind.STD_ITP, True, 0, 0, None),
+    (StrategyKind.STD_ITP, True, 0, 3, (DISP, 1.0)),
+    (StrategyKind.STD_ITP, True, 2, 0, (HF, 1.0)),
+    (StrategyKind.STD_ITP, True, 2, 3, (DISP, 1.0)),
+    (StrategyKind.BAPP_TID, False, 0, 0, None),
+    (StrategyKind.BAPP_TID, False, 0, 3, (DISP, 1.2)),
+    (StrategyKind.BAPP_TID, False, 2, 0, (HF, 0.8)),
+    (StrategyKind.BAPP_TID, False, 2, 3, (DISP, 1.2)),
+    (StrategyKind.BAPP_TID, True, 0, 0, None),
+    (StrategyKind.BAPP_TID, True, 0, 3, (DISP, 1.2)),
+    (StrategyKind.BAPP_TID, True, 2, 0, (HF, 0.8)),
+    (StrategyKind.BAPP_TID, True, 2, 3, (HF, 0.8)),
+]
+
+
+def table_fleet(stagnant, hf, disp):
+    hist = [1.0, 0.999, 0.998] if stagnant else [1.0, 0.9, 0.8]
+    return fleet(r_lost=5 - hf - disp, disp=disp, hf=hf, hist=hist)
 
 
 class TestDeploymentDecision:
@@ -170,27 +194,9 @@ class TestDeploymentDecision:
     met or not (flat or falling entropy), high-fidelity and disposable stock
     empty or not. None means the fleet is empty."""
 
-    @pytest.mark.parametrize("strategy, stagnant, hf, disp, want", [
-        (StrategyKind.STD_ITP, False, 0, 0, None),
-        (StrategyKind.STD_ITP, False, 0, 3, (DISP, 1.0)),
-        (StrategyKind.STD_ITP, False, 2, 0, (HF, 1.0)),
-        (StrategyKind.STD_ITP, False, 2, 3, (DISP, 1.0)),
-        (StrategyKind.STD_ITP, True, 0, 0, None),
-        (StrategyKind.STD_ITP, True, 0, 3, (DISP, 1.0)),
-        (StrategyKind.STD_ITP, True, 2, 0, (HF, 1.0)),
-        (StrategyKind.STD_ITP, True, 2, 3, (DISP, 1.0)),
-        (StrategyKind.BAPP_TID, False, 0, 0, None),
-        (StrategyKind.BAPP_TID, False, 0, 3, (DISP, 1.2)),
-        (StrategyKind.BAPP_TID, False, 2, 0, (HF, 0.8)),
-        (StrategyKind.BAPP_TID, False, 2, 3, (DISP, 1.2)),
-        (StrategyKind.BAPP_TID, True, 0, 0, None),
-        (StrategyKind.BAPP_TID, True, 0, 3, (DISP, 1.2)),
-        (StrategyKind.BAPP_TID, True, 2, 0, (HF, 0.8)),
-        (StrategyKind.BAPP_TID, True, 2, 3, (HF, 0.8)),
-    ])
+    @pytest.mark.parametrize("strategy, stagnant, hf, disp, want", DECISION_TABLE)
     def test_table(self, strategy, stagnant, hf, disp, want):
-        hist = [1.0, 0.999, 0.998] if stagnant else [1.0, 0.9, 0.8]
-        f = fleet(r_lost=5 - hf - disp, disp=disp, hf=hf, hist=hist)
+        f = table_fleet(stagnant, hf, disp)
         if want is None:
             with pytest.raises(FleetExhaustedError):
                 deployment_decision(strategy, f, TRIGGER)
@@ -311,17 +317,37 @@ class TestPlanRound:
             groups.append(len(plan_groups))
             return plan_paths(belief, start, plan, channel, plan_groups)
 
-        monkeypatch.setattr(strategies, "plan_paths", spy)
         f = fleet(disp=1, hf=5)
-        got = []
-        for sector, (cls, traj, alpha) in enumerate(self.round_of(StrategyKind.STD_ITP, f)):
-            assert (cls, traj, alpha) == select_deployment(StrategyKind.STD_ITP, f, self.belief, 5,
-                                                           self.plan, CHANNELS,
-                                                           mask=self.masks[sector])
-            got.append(cls)
-            self.lose(f, cls)
-        assert got == [AgentClass.DISPOSABLE] + [AgentClass.HIGH_FIDELITY] * 3
+        got, fleets = [], []
+        with monkeypatch.context() as m:
+            m.setattr(strategies, "plan_paths", spy)
+            for cls, traj, alpha in self.round_of(StrategyKind.STD_ITP, f):
+                got.append((cls, traj, alpha))
+                fleets.append(FleetState(dict(f.stock), f.r_lost, list(f.entropy_history)))
+                self.lose(f, cls)
         assert groups == [4, 3]
+        # each sector's deployment is the one it gets planned alone, from the
+        # fleet as it stood at its turn
+        assert got == [select_deployment(StrategyKind.STD_ITP, at_turn, self.belief, 5, self.plan,
+                                         CHANNELS, mask=mask)
+                       for at_turn, mask in zip(fleets, self.masks)]
+        assert [cls for cls, _, _ in got] == [AgentClass.DISPOSABLE] + [AgentClass.HIGH_FIDELITY] * 3
+
+    @pytest.mark.parametrize("strategy, stagnant, hf, disp, want", DECISION_TABLE)
+    def test_fixed_alpha_deployment_is_its_path_planned_alone(self, strategy, stagnant, hf, disp, want):
+        # the reference runs through plan_path, not plan_round
+        for mask in self.masks:
+            f = table_fleet(stagnant, hf, disp)
+            if want is None:
+                with pytest.raises(FleetExhaustedError):
+                    select_deployment(strategy, f, self.belief, 5, self.plan, CHANNELS, mask=mask,
+                                      trigger=TRIGGER)
+                continue
+            cls, alpha = deployment_decision(strategy, f, TRIGGER)
+            assert (cls, alpha) == want
+            path = plan_path(self.belief, 5, self.plan, CHANNELS[cls], mask, alpha)
+            assert select_deployment(strategy, f, self.belief, 5, self.plan, CHANNELS, mask=mask,
+                                     trigger=TRIGGER) == (cls, path, alpha)
 
     @pytest.mark.parametrize("strategy", list(StrategyKind))
     def test_select_deployment_on_empty_fleet_raises(self, strategy):
@@ -330,3 +356,7 @@ class TestPlanRound:
         with pytest.raises(FleetExhaustedError):
             select_deployment(strategy, f, self.belief, 5, self.plan, CHANNELS, sig=SigPolicy(),
                               trigger=TriggerPolicy(), words=words_of(np.random.default_rng(0)))
+        # so does a whole round asked of it
+        words = [words_of(np.random.default_rng(s)) for s in range(len(self.masks))]
+        with pytest.raises(FleetExhaustedError):
+            next(self.round_of(strategy, f, sig=SigPolicy(), trigger=TriggerPolicy(), words=words))
