@@ -1,13 +1,16 @@
 """Grid hazard belief map and its updates from path outcomes.
 
 Cells are indexed row-major: cell = row * cols + col. Beliefs are per-cell
-hazard probabilities, mutually independent by construction; updates return
-new read-only snapshots. Each update is the exact per-deployment marginal
-update, re-factorised after each deployment: a loss couples the cells of
-its path, and the belief keeps only their marginals, so it is not exact
-Bayes across deployments. The only evidence source is the binary outcome of
-a whole deployment: theta = 0 (robot returned) or theta = 1 (robot lost
-somewhere along its path).
+hazard probabilities, mutually independent by construction, in read-only
+snapshots. Each update is the exact per-deployment marginal update,
+re-factorised after each deployment: a loss couples the cells of its path,
+and the belief keeps only their marginals, so it is not exact Bayes across
+deployments. A mission round's updates share one working copy of the
+round-start probabilities and are folded into one new snapshot at its end,
+with every deployment's global entropy from one pass (_fold_round); the
+public updates are the one-deployment fold. The only evidence source is
+the binary outcome of a whole deployment: theta = 0 (robot returned) or
+theta = 1 (robot lost somewhere along its path).
 """
 
 from __future__ import annotations
@@ -84,34 +87,6 @@ class BeliefMap:
         h.flags.writeable = False
         return h
 
-    def _adopt(self, cells: np.ndarray, values: list[float]) -> "BeliefMap":
-        """This belief with each of the distinct in-grid `cells` set to the
-        matching float in [0, 1] of `values`, which the updates compute and
-        so need no check. If this belief holds its per-cell entropy, the new
-        one gets a copy patched at those cells alone, the bits of a full pass."""
-        probs = self.probs.copy()
-        probs[cells] = values
-        probs.flags.writeable = False
-        out = object.__new__(BeliefMap)
-        object.__setattr__(out, "dims", self.dims)
-        object.__setattr__(out, "probs", probs)
-        h = self.__dict__.get("_entropy_bits")
-        if h is not None:
-            h = h.copy()
-            h[cells] = _entropy_bits_of(values)
-            h.flags.writeable = False
-            out.__dict__["_entropy_bits"] = h
-        return out
-
-
-def _entropy_bits_of(ps: list[float]) -> list[float]:
-    """_binary_h(p) / ln 2 of each float, the same operations in the same
-    order: one np.log call over every p and 1 - p, the rest in Python floats."""
-    qs = [1.0 - p for p in ps]
-    logs = np.log([x if x > 0.0 else 1.0 for x in ps + qs]).tolist()
-    return [-((p * lp if p > 0.0 else 0.0) + (q * lq if q > 0.0 else 0.0)) / _LN2
-            for p, q, lp, lq in zip(ps, qs, logs, logs[len(ps):])]
-
 
 @dataclass(frozen=True, eq=False)
 class GroundTruthMap:
@@ -162,6 +137,84 @@ def _distinct_path_cells(dims: GridDims, path_cells: Iterable[int]) -> np.ndarra
     return np.array(cells, dtype=np.intp)
 
 
+def _success_values(ps: list[float], channel: BinaryChannel) -> list[float]:
+    """update_on_success's posterior of each prior in `ps`, in Python floats."""
+    miss, quiet = 1.0 - channel.tpr, 1.0 - channel.fpr
+    values = []
+    for p in ps:
+        num = p * miss
+        den = num + (1.0 - p) * quiet
+        if den <= 0.0:
+            raise InconsistentObservationError("a safe return was impossible under this belief")
+        values.append(num / den)
+    return values
+
+
+def _failure_values(ps: list[float], channel: BinaryChannel) -> list[float]:
+    """update_on_failure's posterior of the priors `ps` of one path's distinct
+    cells in ascending cell order, in Python floats."""
+    lam, gam = channel.tpr, channel.fpr
+    survive = [1.0 - (p * lam + (1.0 - p) * gam) for p in ps]
+    total_survive = math.prod(survive)  # left to right, as np.prod
+    p_fail = 1.0 - total_survive
+    if p_fail <= 0.0:
+        raise InconsistentObservationError("a failure was impossible under this belief")
+    # prod over j != i, computed stably even when some survive_j == 0
+    n_zero = survive.count(0.0)
+    if n_zero == 0:
+        others = [total_survive / s for s in survive]
+    else:
+        lone = math.prod(s for s in survive if s != 0.0) if n_zero == 1 else 0.0
+        others = [lone if s == 0.0 else 0.0 for s in survive]
+    miss = 1.0 - lam
+    # np.clip's bits, -0.0 and NaN included: v in [0, 1] as it is, else min(max(v, 0), 1)
+    return [v if 0.0 <= (v := p * (1.0 - miss * o) / p_fail) <= 1.0 else min(max(v, 0.0), 1.0)
+            for p, o in zip(ps, others)]
+
+
+def _fold_round(belief: BeliefMap, observed: Sequence[tuple[np.ndarray, int, BinaryChannel]]
+                ) -> tuple[BeliefMap, list[float]]:
+    """A round's K >= 1 deployments folded into `belief` in one pass.
+
+    observed[k] is deployment k's (distinct in-grid cells as an index array,
+    theta, channel). One working copy of belief.probs takes each update in
+    turn, a deployment reading and writing only its own cells, and becomes
+    the new belief's probs. If `belief` holds its per-cell entropy, row k of
+    a (K, n_cells) array is the per-cell entropy after deployment k: the
+    parent's, with the bits of deployments 0..k written at their cells, from
+    one entropy pass over all of the round's new values. Returns the new
+    belief, carrying the last row, and the K global entropies, each that
+    row's global_entropy bit for bit; a parent without per-cell entropy
+    gives a child without it and no entropies. Raises at the first
+    deployment whose outcome was impossible, as its own update would.
+    """
+    probs = belief.probs.copy()
+    patches = []
+    for cells, theta, channel in observed:
+        values = (_failure_values if theta else _success_values)(probs[cells].tolist(), channel)
+        probs[cells] = values
+        patches.append((cells, values))
+    probs.flags.writeable = False
+    out = object.__new__(BeliefMap)
+    object.__setattr__(out, "dims", belief.dims)
+    object.__setattr__(out, "probs", probs)
+    h = belief.__dict__.get("_entropy_bits")
+    if h is None:
+        return out, []
+    bits = _binary_h(np.array([v for _, values in patches for v in values])) / _LN2
+    rows = np.empty((len(patches), h.size))
+    h = h.copy()
+    at = 0
+    for k, (cells, values) in enumerate(patches):
+        h[cells] = bits[at:at + len(values)]
+        at += len(values)
+        rows[k] = h
+    rows.flags.writeable = False
+    out.__dict__["_entropy_bits"] = rows[-1]
+    # a C-ordered row reduce is each row's own pairwise sum, as in global_entropy
+    return out, (np.add.reduce(rows, axis=1) / h.size).tolist()
+
+
 def update_on_success(belief: BeliefMap, path_cells: Sequence[int], channel: BinaryChannel) -> BeliefMap:
     """Posterior after a safe return (theta = 0).
 
@@ -171,16 +224,7 @@ def update_on_success(belief: BeliefMap, path_cells: Sequence[int], channel: Bin
     deployment count once. Computed in Python floats over the path's
     cells, which gives the bits of the same numpy expressions.
     """
-    cells = _distinct_path_cells(belief.dims, path_cells)
-    miss, quiet = 1.0 - channel.tpr, 1.0 - channel.fpr
-    values = []
-    for p in belief.probs[cells].tolist():
-        num = p * miss
-        den = num + (1.0 - p) * quiet
-        if den <= 0.0:
-            raise InconsistentObservationError("a safe return was impossible under this belief")
-        values.append(num / den)
-    return belief._adopt(cells, values)
+    return _fold_round(belief, [(_distinct_path_cells(belief.dims, path_cells), 0, channel)])[0]
 
 
 def update_on_failure(belief: BeliefMap, path_cells: Sequence[int], channel: BinaryChannel) -> BeliefMap:
@@ -198,31 +242,7 @@ def update_on_failure(belief: BeliefMap, path_cells: Sequence[int], channel: Bin
     to right in ascending cell order, as np.prod does, so the bits are
     those of the same numpy expressions.
     """
-    cells = _distinct_path_cells(belief.dims, path_cells)
-    lam, gam = channel.tpr, channel.fpr
-    ps = belief.probs[cells].tolist()
-    survive = [1.0 - (p * lam + (1.0 - p) * gam) for p in ps]
-    total_survive = 1.0
-    for s in survive:
-        total_survive *= s
-    p_fail = 1.0 - total_survive
-    if p_fail <= 0.0:
-        raise InconsistentObservationError("a failure was impossible under this belief")
-    # prod over j != i, computed stably even when some survive_j == 0
-    n_zero = survive.count(0.0)
-    if n_zero == 0:
-        others = [total_survive / s for s in survive]
-    else:
-        nonzero_prod = 1.0
-        for s in survive:
-            if s != 0.0:
-                nonzero_prod *= s
-        lone = nonzero_prod if n_zero == 1 else 0.0
-        others = [lone if s == 0.0 else 0.0 for s in survive]
-    miss = 1.0 - lam
-    # min(max(v, 0), 1) keeps np.clip's bits, -0.0 and NaN included
-    values = [min(max(p * (1.0 - miss * o) / p_fail, 0.0), 1.0) for p, o in zip(ps, others)]
-    return belief._adopt(cells, values)
+    return _fold_round(belief, [(_distinct_path_cells(belief.dims, path_cells), 1, channel)])[0]
 
 
 def global_entropy(belief: BeliefMap) -> float:

@@ -4,7 +4,8 @@ A trial runs rounds of deployments: relocate the base (when enabled),
 partition the grid into one sector per robot, let the strategy pick an
 agent class, behavior alpha, and path per sector against the round-start
 belief, execute each path against the hidden ground truth, then fold the
-binary outcomes back into the belief. All randomness flows through seed
+round's binary outcomes into the belief in one pass at the round's end,
+which also gives each deployment's entropy. All randomness flows through seed
 streams keyed by (master seed, trial, purpose, round, sector) so that
 different strategies face identical worlds and identical per-step failure
 draws. The world is drawn from seed_stream; the failure and walk streams
@@ -20,8 +21,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .belief import (GridDims, GroundTruthMap, global_entropy, init_uniform,
-                     update_on_failure, update_on_success)
+from .belief import GridDims, GroundTruthMap, _fold_round, global_entropy, init_uniform
 from . import draws
 from .coordination import RelocationPolicy, sector_masks, select_base_site
 from .errors import ParameterError, ScenarioError
@@ -267,17 +267,23 @@ def _walk_words(block_words: list, seed: int, trial: int, d: int, sector: int) -
 
 def run_trial(config: MissionConfig, trial: int) -> TrialMetrics:
     """One closed-loop mission: rounds of plan / execute / update until the
-    round budget is spent or the fleet is gone."""
+    round budget is spent or the fleet is gone.
+
+    A round's deployments are planned against the round-start belief and
+    executed in sector order; their outcomes are then folded into the next
+    belief in one pass, whose per-deployment entropies complete the round's
+    DeploymentRecords (each one the global entropy after that deployment's
+    update, as if the updates were applied one by one)."""
     dims = config.dims
     seed = config.master_seed
     truth = generate_world(dims, config.hazard_density, config.lethality,
                            seed_stream(seed, trial, _TAG_WORLD))
     belief = init_uniform(dims)
-    h = global_entropy(belief)  # always the entropy of `belief`
     base = config.start_cell
     n = config.team_size
     agents = config.agents
-    fleet = FleetState(stock={cls: agent.stock for cls, agent in agents.items()}, entropy_history=[h])
+    fleet = FleetState(stock={cls: agent.stock for cls, agent in agents.items()},
+                       entropy_history=[global_entropy(belief)])
     channels = config.channels()
 
     records = []
@@ -298,19 +304,20 @@ def run_trial(config: MissionConfig, trial: int) -> TrialMetrics:
         words = None if walks is None else [_walk_words(w, seed, trial, d, sector)
                                             for sector, w in enumerate(walks)]
         # plan_round holds the round-start belief: sectors cannot see each
-        # other's outcomes
+        # other's outcomes, which are folded into the next belief at round end
+        observed, done = [], []
         for sector, (cls, traj, alpha_used) in enumerate(plan_round(
                 config.strategy, fleet, belief, base, config.plan, channels,
                 masks, sig=config.sig, trigger=config.trigger, words=words)):
             theta, fail_step = execute_deployment(truth, traj, agents[cls], failures[sector])
             fleet.r_lost += theta
             fleet.stock[cls] -= theta
-            update = update_on_failure if theta else update_on_success
-            belief = update(belief, traj.cells, channels[cls])
-            h = global_entropy(belief)
-            records.append(DeploymentRecord(trial, d, sector, cls, alpha_used, traj, theta,
-                                            fail_step, h, fleet.r_lost))
-        fleet.entropy_history.append(h)
+            # a beam's or a walk's cells are in the grid already
+            observed.append((np.array(sorted(set(traj.cells)), dtype=np.intp), theta, channels[cls]))
+            done.append(((trial, d, sector, cls, alpha_used, traj, theta, fail_step), fleet.r_lost))
+        belief, hs = _fold_round(belief, observed)
+        records.extend(DeploymentRecord(*head, h, lost) for (head, lost), h in zip(done, hs))
+        fleet.entropy_history.append(hs[-1])
         loss_series.append(fleet.r_lost)
 
     return TrialMetrics(

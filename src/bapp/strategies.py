@@ -54,6 +54,10 @@ class AgentClass(enum.Enum):
     DISPOSABLE = "disposable"
     HIGH_FIDELITY = "high-fidelity"
 
+    # each member is a singleton, also after pickling, so identity is its
+    # hash; Enum's own hashes the name in Python on every dict lookup
+    __hash__ = object.__hash__
+
 
 class StrategyKind(enum.Enum):
     STD_ITP = "std-itp"

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bapp.belief import (BeliefMap, GridDims, cell_failure_prob, global_entropy, init_uniform,
-                         update_on_failure, update_on_success)
+from bapp.belief import (BeliefMap, GridDims, _fold_round, cell_failure_prob, global_entropy,
+                         init_uniform, update_on_failure, update_on_success)
 from bapp.errors import InconsistentObservationError, ParameterError
 from bapp.info_measures import BinaryChannel, _binary_h, binary_entropy
 from bapp.oracles import (joint_posterior, martingale_gap, outcome_probability,
@@ -231,13 +231,13 @@ _CHANNELS = (CH, BinaryChannel(1.0, 0.1), BinaryChannel(0.7, 0.0), BinaryChannel
 
 
 @st.composite
-def _update_runs(draw):
+def _update_runs(draw, channels=_CHANNELS):
     dims = GridDims(draw(st.integers(1, 8)), draw(st.integers(1, 8)))
     probs = draw(st.lists(st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 1.0),
                           min_size=dims.n_cells, max_size=dims.n_cells))
     cell = st.integers(0, dims.n_cells - 1)
     steps = draw(st.lists(st.tuples(st.booleans(), st.lists(cell, min_size=1, max_size=6),
-                                    st.sampled_from(_CHANNELS), st.booleans()),
+                                    st.sampled_from(channels), st.booleans()),
                           min_size=1, max_size=12))
     return BeliefMap(dims, np.array(probs)), steps
 
@@ -356,8 +356,8 @@ def test_updates_match_vectorised_references(case):
 
 
 def test_np_prod_is_the_left_to_right_product():
-    # update_on_failure multiplies survival factors in a Python loop; numpy
-    # pairs up only add reductions, so np.prod must stay sequential
+    # update_on_failure multiplies survival factors with math.prod; numpy
+    # pairs up only add reductions, so np.prod must stay sequential too
     rng = np.random.default_rng(13)
     for n in range(1, 40):
         for _ in range(200):
@@ -366,14 +366,76 @@ def test_np_prod_is_the_left_to_right_product():
             for f in factors.tolist():
                 want *= f
             assert float(np.prod(factors)) == want
+            assert math.prod(factors.tolist()) == want
 
 
 def test_min_max_keeps_np_clip_bits():
     values = [-0.0, 0.0, 1.0, -1e-300, 5e-324, 0.5, 1.0 + 2 ** -52, 2.0, -3.0,
               math.inf, -math.inf, math.nan]
     want = np.clip(np.array(values), 0.0, 1.0)
-    got = np.array([min(max(v, 0.0), 1.0) for v in values])
+    got = np.array([v if 0.0 <= v <= 1.0 else min(max(v, 0.0), 1.0) for v in values])
     assert got.tobytes() == want.tobytes()
+
+
+def test_row_reduce_is_each_rows_own_sum():
+    # _fold_round reduces a (K, n_cells) array along its rows at once; each
+    # row must get the pairwise sum of global_entropy's 1-D reduce
+    rng = np.random.default_rng(14)
+    for n in (1, 2, 7, 8, 9, 16, 100, 105, 127, 128, 129, 255, 256, 400, 1000, 1025):
+        for k in (1, 2, 3, 15, 40):
+            rows = rng.random((k, n)) * rng.choice([1.0, 1e-12, 1e12], size=(k, n))
+            got = (np.add.reduce(rows, axis=1) / n).tolist()
+            assert [h.hex() for h in got] == [float(np.add.reduce(r) / n).hex() for r in rows]
+
+
+@settings(max_examples=400, deadline=None)
+@given(run=_update_runs(_EDGE_CHANNELS))
+# K = 1; cells repeated within and across deployments; resolved cells,
+# whose bits are -0.0 (their sum is +0.0); an impossible loss in the middle
+# of a round
+@example(run=(BeliefMap(GridDims(2, 2), np.array([0.2, 0.5, 0.9, 0.5])), [(False, [0, 1], CH, True)]))
+@example(run=(BeliefMap(GridDims(2, 2), np.array([0.2, 0.5, 0.9, 0.5])),
+              [(True, [1, 1, 2], CH, True), (False, [2, 3, 2], CH, True), (True, [2], CH, True)]))
+@example(run=(BeliefMap(GridDims(1, 2), np.array([0.5, 0.5])),
+              [(False, [0], BinaryChannel(1.0, 0.1), True), (False, [1, 0], BinaryChannel(1.0, 0.1), True)]))
+@example(run=(BeliefMap(GridDims(1, 3), np.array([0.0, 0.0, 0.5])),
+              [(False, [2], CH, True), (True, [0, 1], BinaryChannel(0.7, 0.0), True), (False, [2], CH, True)]))
+def test_round_fold_matches_per_deployment_updates(run):
+    # one round folded at once gives each deployment the entropy, and the
+    # round the belief, of the public updates applied one by one
+    belief, steps = run
+    carried = steps[0][3]
+    if carried:
+        global_entropy(belief)  # the round-start belief carries its per-cell entropy
+    snap, want, raised = belief, [], None
+    for k, (lost, cells, channel, _) in enumerate(steps):
+        try:
+            snap = (update_on_failure if lost else update_on_success)(snap, cells, channel)
+        except InconsistentObservationError:
+            raised = k
+            break
+        want.append(global_entropy(snap).hex() if carried else None)
+    # each step's (distinct cells, theta, channel), as run_trial hands them over
+    observed = [(np.array(sorted(set(cells)), dtype=np.intp), int(lost), channel)
+                for lost, cells, channel, _ in steps]
+    if raised is not None:
+        # the fold raises at the same deployment, and not before it
+        with pytest.raises(InconsistentObservationError):
+            _fold_round(belief, observed[:raised + 1])
+        observed = observed[:raised]
+        if not observed:
+            return
+    before = belief.probs.tobytes()
+    got, hs = _fold_round(belief, observed)
+    assert belief.probs.tobytes() == before
+    assert got.probs.tobytes() == snap.probs.tobytes()
+    assert not got.probs.flags.writeable
+    if carried:
+        assert [h.hex() for h in hs] == want
+        assert got._entropy_bits.tobytes() == snap._entropy_bits.tobytes()
+        assert not got._entropy_bits.flags.writeable
+    else:
+        assert hs == [] and "_entropy_bits" not in got.__dict__
 
 
 class TestJointPosterior:

@@ -1,7 +1,10 @@
 import concurrent.futures
 import inspect
+import itertools
 import json
+import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import replace
@@ -11,7 +14,7 @@ import numpy as np
 import pytest
 
 from bapp import experiment, planner, sim, strategies
-from bapp.belief import GridDims
+from bapp.belief import GridDims, global_entropy, init_uniform, update_on_failure, update_on_success
 from bapp.errors import FleetExhaustedError, ParameterError, ScenarioError
 from bapp.experiment import (fmt9, run_experiment, theory_sweep, write_deployments_csv,
                              write_paths_csv, write_summary_json, write_theory_csvs)
@@ -410,11 +413,42 @@ def _batched_and_per_sector(monkeypatch, config, trial):
     return got, want, len(replans), len(alone)
 
 
+def _hexes(values):
+    # float.hex tells -0.0 from 0.0, which == does not and fmt9 writes apart
+    return [float(v).hex() for v in values]
+
+
 def _assert_same_trial(got, want):
     assert got.records == want.records
+    assert _hexes(r.entropy_bits for r in got.records) == _hexes(r.entropy_bits for r in want.records)
     assert got.base_track == want.base_track
-    assert got.entropy_series == want.entropy_series
+    assert _hexes(got.entropy_series) == _hexes(want.entropy_series)
     assert got.loss_series == want.loss_series
+
+
+@pytest.mark.parametrize("scenario, strategy, budget", [
+    ("scalability-20x20-n15", StrategyKind.RANDOM, 4),
+    ("energy-15x7", StrategyKind.BAPP_TID, 12),
+])
+def test_records_replay_through_the_public_updates(scenario, strategy, budget):
+    # run_trial folds each round at once; the public updates applied one
+    # record at a time must give every record's entropy and the series
+    config, _ = load_scenario(scenario)
+    config = replace(config, strategy=strategy, deployment_budget=budget)
+    tm = run_trial(config, 0)
+    if config.relocate:
+        assert len(set(tm.base_track)) > 1
+    channels = config.channels()
+    belief = init_uniform(config.dims)
+    series = [global_entropy(belief)]
+    for _, round_records in itertools.groupby(tm.records, key=lambda r: r.round_index):
+        for rec in round_records:
+            update = update_on_failure if rec.theta else update_on_success
+            belief = update(belief, rec.trajectory.cells, channels[rec.agent_class])
+            assert float(rec.entropy_bits).hex() == global_entropy(belief).hex()
+        series.append(global_entropy(belief))
+    assert len(tm.records) > tm.rounds_executed == budget
+    assert _hexes(tm.entropy_series) == _hexes(series)
 
 
 class TestBatchedRound:
@@ -464,6 +498,41 @@ class TestInformationHiding:
             source = inspect.getsource(module)
             assert "GroundTruthMap" not in source
             assert "truth" not in source.replace("ground-truth", "")
+
+
+def _agent_classes_back(members):
+    """Run in a worker: the members as they arrive there, whether each is
+    that process's own member, and each one's slot in a class-keyed dict."""
+    slots = {AgentClass.DISPOSABLE: 0, AgentClass.HIGH_FIDELITY: 1}
+    return [(m, m is AgentClass(m.value), slots[m]) for m in members]
+
+
+def test_agent_classes_pickle_back_to_themselves(monkeypatch):
+    # AgentClass hashes by identity, so a member must stay one object
+    # through pickling, here and in a worker process that imported bapp anew
+    members = list(AgentClass)
+    assert members == [AgentClass.DISPOSABLE, AgentClass.HIGH_FIDELITY]
+    for m in members:
+        assert pickle.loads(pickle.dumps(m)) is m
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        back = pool.submit(_agent_classes_back, members).result()
+    assert back == [(AgentClass.DISPOSABLE, True, 0), (AgentClass.HIGH_FIDELITY, True, 1)]
+    assert all(got is m for (got, _, _), m in zip(back, members))
+    # the class-keyed maps a trial iterates list the disposables first
+    config = small_config(team_size=2, deployment_budget=2)
+    assert list(config.agents) == members
+    assert list(config.channels()) == members
+    stocks = []
+    plan_round = sim.plan_round
+
+    def spy(strategy, fleet, *args, **kwargs):
+        stocks.append(list(fleet.stock))
+        return plan_round(strategy, fleet, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "plan_round", spy)
+    run_trial(config, 0)
+    assert stocks == [members, members]
 
 
 class TestRunExperiment:
