@@ -13,8 +13,8 @@ import numpy as np
 
 from .belief import GridDims
 from .errors import ParameterError, ScenarioError
-from .experiment import (MAX_SWEEP_ROWS, _check_sweep_grids, run_experiment, theory_sweep,
-                         write_bases_csv, write_deployments_csv, write_paths_csv,
+from .experiment import (MAX_SWEEP_ROWS, _THEORY_FILES, _check_sweep_grids, run_experiment,
+                         theory_sweep, write_bases_csv, write_deployments_csv, write_paths_csv,
                          write_summary_json, write_theory_csvs)
 from .info_measures import BinaryChannel
 from .oracles import exhaustive_plan, joint_posterior, martingale_gap, posterior_by_enumeration
@@ -55,12 +55,19 @@ def _parse_grid(text: str) -> list[float]:
     return [v for v in values if v <= stop + 1e-12]
 
 
-def _make_out_dir(path: str) -> None:
-    """Make the output directory; an OSError (a file of that name, say) is a ScenarioError."""
+def _make_out_dir(path: str, names) -> None:
+    """Make the output directory and check the names of the files to be written in it.
+
+    Any OSError (a file of the directory's name, say), or a directory where
+    a file must go, is a ScenarioError before the work that fills the files.
+    """
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise ScenarioError(f"cannot create output directory {path!r}: {exc.strerror or exc}") from None
+    for file in (os.path.join(path, name) for name in names):
+        if os.path.isdir(file):
+            raise ScenarioError(f"cannot write {file!r}: it is a directory")
 
 
 def _cmd_simulate(args) -> int:
@@ -75,13 +82,14 @@ def _cmd_simulate(args) -> int:
         raise ScenarioError(f"trials must be >= 1, got {trials}")
     if args.workers < 1:
         raise ScenarioError(f"workers must be >= 1, got {args.workers}")
-    _make_out_dir(args.out)
-    result = run_experiment(config, trials, workers=args.workers)
-    write_deployments_csv(os.path.join(args.out, "deployments.csv"), [result])
-    write_summary_json(os.path.join(args.out, "summary.json"), [result])
-    write_bases_csv(os.path.join(args.out, "bases.csv"), [result])
+    writers = {"deployments.csv": write_deployments_csv, "summary.json": write_summary_json,
+               "bases.csv": write_bases_csv}
     if args.write_paths:
-        write_paths_csv(os.path.join(args.out, "paths.csv"), [result])
+        writers["paths.csv"] = write_paths_csv
+    _make_out_dir(args.out, writers)
+    result = run_experiment(config, trials, workers=args.workers)
+    for name, write in writers.items():
+        write(os.path.join(args.out, name), [result])
     ent_mean, _ = result.entropy_stats()
     print(f"{config.strategy.value}: {trials} trials, {config.deployment_budget} rounds, "
           f"final mean entropy {ent_mean[-1]:.4f} bits -> {args.out}")
@@ -94,7 +102,7 @@ def _cmd_theory_sweep(args) -> int:
         _check_sweep_grids(*grids)
     except ParameterError as exc:  # the grids come only from the flags
         raise ScenarioError(str(exc)) from exc
-    _make_out_dir(args.out)
+    _make_out_dir(args.out, _THEORY_FILES)
     result = theory_sweep(*grids)
     write_theory_csvs(args.out, result)
     n_rows = result.delta_i.size
@@ -202,7 +210,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
+    except (ScenarioError, OSError) as exc:  # OSError: a result file could not be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,6 +7,7 @@ order, and aggregation is independent of the worker count.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .info_measures import _as_prob, _check_alpha, delta_mi
+from .info_measures import _as_prob, _check_alpha, _delta_mi
 from .sim import MissionConfig, TrialMetrics, run_trial
 
 __all__ = [
@@ -35,9 +36,10 @@ __all__ = [
 
 DEPLOYMENT_COLUMNS = "trial,d,strategy,agent_class,alpha_used,theta,entropy_bits,cum_losses"
 THEORY_COLUMNS = "alpha,p,lambda,gamma,delta_i,delta_h_obs"
+_THEORY_FILES = ("theory_sweep.csv", "theory_sweep_avg.csv", "theory_contour.csv")
 
 # bound on the rows of one theory sweep, the product of its four grid sizes:
-# theory_sweep broadcasts delta_mi over all of them at once
+# theory_sweep broadcasts the delta_mi kernel over all of them at once
 MAX_SWEEP_ROWS = 1_000_000
 
 
@@ -89,11 +91,6 @@ class ExperimentResult:
         return np.array([cap if v is None else v for v in self.deployments_to_half()], dtype=float)
 
 
-def _run_trial_star(args) -> TrialMetrics:
-    config, trial = args
-    return run_trial(config, trial)
-
-
 def run_experiment(config: MissionConfig, trials: int, workers: int = 1) -> ExperimentResult:
     """Run seeded trials (optionally across processes) in deterministic order.
 
@@ -105,14 +102,14 @@ def run_experiment(config: MissionConfig, trials: int, workers: int = 1) -> Expe
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
     workers = min(workers, trials, os.cpu_count() or 1)
-    jobs = [(config, t) for t in range(trials)]
+    trial = functools.partial(run_trial, config)
     if workers == 1:
-        metrics = [_run_trial_star(j) for j in jobs]
+        metrics = list(map(trial, range(trials)))
     else:
         # imported here: it loads multiprocessing, which one-worker runs never start
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            metrics = list(pool.map(_run_trial_star, jobs))
+            metrics = list(pool.map(trial, range(trials)))
     return ExperimentResult(config=config, trials=metrics)
 
 
@@ -126,41 +123,35 @@ def _by_strategy(results: Sequence[ExperimentResult]) -> Iterator[tuple[str, Exp
     return zip(names, results)
 
 
+def _trials(results: Sequence[ExperimentResult]) -> Iterator[tuple[str, TrialMetrics]]:
+    """(strategy name, trial) for every trial, in the order the CSVs list them."""
+    return ((name, tm) for name, res in _by_strategy(results) for tm in res.trials)
+
+
 def write_deployments_csv(path: str, results: Sequence[ExperimentResult]) -> None:
-    lines = [DEPLOYMENT_COLUMNS]
-    for name, res in _by_strategy(results):
-        for tm in res.trials:
-            for rec in tm.records:
-                lines.append(",".join([
-                    str(rec.trial),
-                    str(rec.round_index),
-                    name,
-                    rec.agent_class.value,
-                    fmt9(rec.alpha_used),
-                    str(rec.theta),
-                    fmt9(rec.entropy_bits),
-                    str(rec.cum_losses),
-                ]))
-    _write_lines(path, lines)
+    _write_lines(path, [DEPLOYMENT_COLUMNS] + [",".join([
+        str(rec.trial),
+        str(rec.round_index),
+        name,
+        rec.agent_class.value,
+        fmt9(rec.alpha_used),
+        str(rec.theta),
+        fmt9(rec.entropy_bits),
+        str(rec.cum_losses),
+    ]) for name, tm in _trials(results) for rec in tm.records])
 
 
 def write_bases_csv(path: str, results: Sequence[ExperimentResult]) -> None:
-    lines = ["trial,d,strategy,base_cell"]
-    for name, res in _by_strategy(results):
-        for tm in res.trials:
-            for d, cell in enumerate(tm.base_track, start=1):
-                lines.append(f"{tm.trial},{d},{name},{cell}")
-    _write_lines(path, lines)
+    _write_lines(path, ["trial,d,strategy,base_cell"] + [
+        f"{tm.trial},{d},{name},{cell}"
+        for name, tm in _trials(results) for d, cell in enumerate(tm.base_track, start=1)])
 
 
 def write_paths_csv(path: str, results: Sequence[ExperimentResult]) -> None:
-    lines = ["trial,d,strategy,sector,start,cells"]
-    for name, res in _by_strategy(results):
-        for tm in res.trials:
-            for rec in tm.records:
-                cells = ";".join([str(c) for c in rec.trajectory.cells])
-                lines.append(f"{rec.trial},{rec.round_index},{name},{rec.sector},{rec.trajectory.start},{cells}")
-    _write_lines(path, lines)
+    _write_lines(path, ["trial,d,strategy,sector,start,cells"] + [
+        f"{rec.trial},{rec.round_index},{name},{rec.sector},{rec.trajectory.start},"
+        f"{';'.join([str(c) for c in rec.trajectory.cells])}"
+        for name, tm in _trials(results) for rec in tm.records])
 
 
 def _round9(x: float) -> float:
@@ -229,6 +220,24 @@ def _check_sweep_grids(alpha_grid, prior_grid, lambda_grid, gamma_grid) -> tuple
     return _check_alpha(a), p, lam, gam
 
 
+def _zero_contour(alpha: np.ndarray, prior: np.ndarray, avg: np.ndarray) -> list:
+    """(alpha, p) points where a row of `avg` (alpha, prior) is zero, in (alpha, p) order.
+
+    Segment j runs from prior point j to j + 1, and the last prior point is
+    a segment of its own. One whose start is an exact zero gives that point;
+    one whose sign changes strictly gives the linear interpolant of the zero.
+    """
+    nxt = np.concatenate([avg[:, 1:], avg[:, -1:]], axis=1)
+    cross = ((avg < 0.0) & (0.0 < nxt)) | ((nxt < 0.0) & (0.0 < avg))
+    i, j = np.nonzero((avg == 0.0) | cross)
+    points = prior[j]
+    k = cross[i, j]  # the other points are exact zeros at a segment's start
+    ik, jk = i[k], j[k]
+    y0, y1 = avg[ik, jk], nxt[ik, jk]
+    points[k] = prior[jk] + y0 / (y0 - y1) * (prior[jk + 1] - prior[jk])
+    return list(zip(alpha[i].tolist(), points.tolist()))
+
+
 def theory_sweep(alpha_grid, prior_grid, lambda_grid, gamma_grid) -> TheorySweepResult:
     """Behavioral-vs-Shannon information gain across the parameter grids.
 
@@ -237,54 +246,32 @@ def theory_sweep(alpha_grid, prior_grid, lambda_grid, gamma_grid) -> TheorySweep
     interpolation between adjacent prior grid points with a sign change).
     """
     a, p, lam, gam = _check_sweep_grids(alpha_grid, prior_grid, lambda_grid, gamma_grid)
-    terms = delta_mi(
+    terms = _delta_mi(
         p[None, :, None, None],
         lam[None, None, :, None],
         gam[None, None, None, :],
         a[:, None, None, None],
     )
-    delta_i = np.asarray(terms.total)
-    delta_h = np.asarray(terms.delta_h_obs)
-    avg_i = delta_i.mean(axis=(2, 3))
-    avg_h = delta_h.mean(axis=(2, 3))
-    contour = []
-    for i, alpha in enumerate(a):
-        row = avg_i[i]
-        for j in range(len(p) - 1):
-            y0, y1 = row[j], row[j + 1]
-            if y0 == 0.0:
-                contour.append((float(alpha), float(p[j])))
-            elif (y0 < 0.0 < y1) or (y1 < 0.0 < y0):
-                t = y0 / (y0 - y1)
-                contour.append((float(alpha), float(p[j] + t * (p[j + 1] - p[j]))))
-        if row[-1] == 0.0:
-            contour.append((float(alpha), float(p[-1])))
-    return TheorySweepResult(a, p, lam, gam, delta_i, delta_h, avg_i, avg_h, contour)
+    avg_i = terms.total.mean(axis=(2, 3))
+    avg_h = terms.delta_h_obs.mean(axis=(2, 3))
+    return TheorySweepResult(a, p, lam, gam, terms.total, terms.delta_h_obs, avg_i, avg_h,
+                             _zero_contour(a, p, avg_i))
+
+
+def _fmt9_rows(header: str, *columns) -> list:
+    """CSV lines: the header, then row k holding each column's k-th entry in fmt9."""
+    return [header] + [",".join(map(fmt9, row)) for row in zip(*map(np.ravel, columns))]
 
 
 def write_theory_csvs(out_dir: str, result: TheorySweepResult) -> None:
     """theory_sweep.csv plus the averaged surface and zero contour files."""
-    lines = [THEORY_COLUMNS]
-    a, p, lam, gam = result.alpha_grid, result.prior_grid, result.lambda_grid, result.gamma_grid
-    for i in range(a.size):
-        for j in range(p.size):
-            for k in range(lam.size):
-                for m in range(gam.size):
-                    lines.append(",".join([
-                        fmt9(a[i]), fmt9(p[j]), fmt9(lam[k]), fmt9(gam[m]),
-                        fmt9(result.delta_i[i, j, k, m]), fmt9(result.delta_h_obs[i, j, k, m]),
-                    ]))
-    _write_lines(os.path.join(out_dir, "theory_sweep.csv"), lines)
-
-    lines = ["alpha,p,mean_delta_i,mean_delta_h_obs"]
-    for i in range(a.size):
-        for j in range(p.size):
-            lines.append(",".join([
-                fmt9(a[i]), fmt9(p[j]), fmt9(result.avg_delta_i[i, j]), fmt9(result.avg_delta_h[i, j]),
-            ]))
-    _write_lines(os.path.join(out_dir, "theory_sweep_avg.csv"), lines)
-
-    lines = ["alpha,p_zero"]
-    for alpha, pz in result.zero_contour:
-        lines.append(f"{fmt9(alpha)},{fmt9(pz)}")
-    _write_lines(os.path.join(out_dir, "theory_contour.csv"), lines)
+    grids = (result.alpha_grid, result.prior_grid, result.lambda_grid, result.gamma_grid)
+    tables = (
+        _fmt9_rows(THEORY_COLUMNS, *np.meshgrid(*grids, indexing="ij"),
+                   result.delta_i, result.delta_h_obs),
+        _fmt9_rows("alpha,p,mean_delta_i,mean_delta_h_obs", *np.meshgrid(*grids[:2], indexing="ij"),
+                   result.avg_delta_i, result.avg_delta_h),
+        _fmt9_rows("alpha,p_zero", *zip(*result.zero_contour)),
+    )
+    for name, lines in zip(_THEORY_FILES, tables):
+        _write_lines(os.path.join(out_dir, name), lines)

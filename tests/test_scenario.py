@@ -162,6 +162,53 @@ def test_out_naming_a_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch
     assert out.read_text() == "not a directory\n"
 
 
+SIMULATE_ONE = ["simulate", "--scenario", "proof-10x10", "--trials", "1"]
+SIMULATE_FILES = ["deployments.csv", "summary.json", "bases.csv"]
+SWEEP_FILES = ["theory_sweep.csv", "theory_sweep_avg.csv", "theory_contour.csv"]
+
+
+@pytest.mark.parametrize("command, taken", [
+    *(pytest.param(SIMULATE_ONE, name, id=f"simulate-{name}") for name in SIMULATE_FILES),
+    pytest.param([*SIMULATE_ONE, "--write-paths"], "paths.csv", id="simulate-paths.csv"),
+    *(pytest.param(["theory-sweep"], name, id=f"theory-sweep-{name}") for name in SWEEP_FILES),
+])
+def test_out_file_naming_a_directory_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                            command, taken):
+    # it used to end in an IsADirectoryError traceback, after the work and the files before it
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the output file names were checked")
+
+    monkeypatch.setattr(cli, "run_experiment", no_work)
+    monkeypatch.setattr(cli, "theory_sweep", no_work)
+    out = tmp_path / "out"
+    (out / taken).mkdir(parents=True)
+    assert main([*command, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert taken in err and "Traceback" not in err
+    assert [p.name for p in out.iterdir()] == [taken]  # no partial set of files
+
+
+@pytest.mark.parametrize("command, writer", [
+    pytest.param(["simulate", "--scenario", "TINY", "--trials", "1"], "write_summary_json",
+                 id="simulate"),
+    pytest.param(["theory-sweep", "--alpha-grid", "0.5", "--prior-grid", "0.5",
+                  "--lambda-grid", "0.9", "--gamma-grid", "0.1"], "write_theory_csvs",
+                 id="theory-sweep"),
+])
+def test_os_error_while_writing_exits_2(tmp_path, capsys, monkeypatch, command, writer):
+    def disk_full(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, writer, disk_full)
+    scen = tmp_path / "tiny.txt"
+    scen.write_text(TINY)
+    argv = [str(scen) if arg == "TINY" else arg for arg in command]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: [Errno 28] No space left on device\n"
+
+
 VALUES = st.one_of(
     st.integers().map(str),
     st.integers(min_value=-10 ** 400, max_value=10 ** 400).map(str),

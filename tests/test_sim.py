@@ -7,11 +7,14 @@ import os
 import pickle
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bapp import experiment, planner, sim, strategies
 from bapp.belief import GridDims, global_entropy, init_uniform, update_on_failure, update_on_success
@@ -674,6 +677,17 @@ class TestTheorySweep:
         res = theory_sweep(alphas, [0.1, 0.5, 0.9], [0.7, 0.9], [0.1, 0.3])
         assert np.all(res.delta_i.max(axis=0) >= -1e-12)
 
+    @pytest.mark.parametrize("grids, message", [
+        pytest.param(([0.5], [1.5], [0.9], [0.1]), "prior must be in", id="prior"),
+        pytest.param(([0.5], [0.5], [float("nan")], [0.1]), "tpr must be finite", id="tpr"),
+        pytest.param(([0.5], [0.5], [0.9], [-0.1]), "fpr must be in", id="fpr"),
+        pytest.param(([0.0], [0.5], [0.9], [0.1]), "alpha must be in", id="alpha"),
+    ])
+    def test_grids_out_of_their_domain_are_refused(self, grids, message):
+        # the sweep checks its grids once and then calls the unchecked delta_mi kernel
+        with pytest.raises(ParameterError, match=message):
+            theory_sweep(*grids)
+
     def test_csv_files(self, tmp_path):
         res = theory_sweep([0.5, 1.0], np.arange(0.1, 0.91, 0.1), [0.9], [0.1])
         write_theory_csvs(str(tmp_path), res)
@@ -682,6 +696,113 @@ class TestTheorySweep:
         assert len(sweep) == 1 + 2 * 9
         contour = (tmp_path / "theory_contour.csv").read_text().splitlines()
         assert contour[0] == "alpha,p_zero"
+
+
+def reference_zero_contour(alpha, prior, avg):
+    """theory_sweep's zero contour as the loop over (alpha, prior) it once was."""
+    contour = []
+    for i, a in enumerate(alpha):
+        row = avg[i]
+        for j in range(len(prior) - 1):
+            y0, y1 = row[j], row[j + 1]
+            if y0 == 0.0:
+                contour.append((float(a), float(prior[j])))
+            elif (y0 < 0.0 < y1) or (y1 < 0.0 < y0):
+                t = y0 / (y0 - y1)
+                contour.append((float(a), float(prior[j] + t * (prior[j + 1] - prior[j]))))
+        if row[-1] == 0.0:
+            contour.append((float(a), float(prior[-1])))
+    return contour
+
+
+def reference_write_theory_csvs(out_dir, result):
+    """write_theory_csvs as the nested index loops it once was."""
+    lines = [experiment.THEORY_COLUMNS]
+    a, p, lam, gam = result.alpha_grid, result.prior_grid, result.lambda_grid, result.gamma_grid
+    for i in range(a.size):
+        for j in range(p.size):
+            for k in range(lam.size):
+                for m in range(gam.size):
+                    lines.append(",".join([
+                        fmt9(a[i]), fmt9(p[j]), fmt9(lam[k]), fmt9(gam[m]),
+                        fmt9(result.delta_i[i, j, k, m]), fmt9(result.delta_h_obs[i, j, k, m]),
+                    ]))
+    experiment._write_lines(os.path.join(out_dir, "theory_sweep.csv"), lines)
+
+    lines = ["alpha,p,mean_delta_i,mean_delta_h_obs"]
+    for i in range(a.size):
+        for j in range(p.size):
+            lines.append(",".join([
+                fmt9(a[i]), fmt9(p[j]), fmt9(result.avg_delta_i[i, j]), fmt9(result.avg_delta_h[i, j]),
+            ]))
+    experiment._write_lines(os.path.join(out_dir, "theory_sweep_avg.csv"), lines)
+
+    lines = ["alpha,p_zero"]
+    for alpha, pz in result.zero_contour:
+        lines.append(f"{fmt9(alpha)},{fmt9(pz)}")
+    experiment._write_lines(os.path.join(out_dir, "theory_contour.csv"), lines)
+
+
+# exact zeros of both signs, the smallest normal and subnormal gains, and ordinary ones
+GAINS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308]),
+                  st.floats(-1.0, 1.0))
+# a row's planted zeros: prior indices, -1 the last, None the whole row
+PLANTS = st.sampled_from([(), (0,), (1,), (-1,), (1, 2), (-2, -1), (0, 1), None])
+
+
+@st.composite
+def contour_surfaces(draw):
+    """(alpha, prior, avg) of 1-6 alphas by 1-8 priors, zeros planted row by row."""
+    n_alpha, n_prior = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    alpha = draw(st.lists(st.floats(0.01, 100.0), min_size=n_alpha, max_size=n_alpha))
+    prior = draw(st.lists(st.one_of(st.just(-0.0), st.floats(0.0, 1.0)),
+                          min_size=n_prior, max_size=n_prior))
+    avg = np.array(draw(st.lists(st.lists(GAINS, min_size=n_prior, max_size=n_prior),
+                                 min_size=n_alpha, max_size=n_alpha)))
+    for row in avg:
+        plant = draw(PLANTS)
+        row[list(range(n_prior)) if plant is None else [j for j in plant if -n_prior <= j < n_prior]] = 0.0
+    return np.array(alpha), np.array(prior), avg
+
+
+def _hex_pairs(points):
+    return [(a.hex(), p.hex()) for a, p in points]
+
+
+@settings(max_examples=400, deadline=None)
+@given(surface=contour_surfaces())
+@example(surface=(np.array([0.5]), np.array([0.1, 0.2, 0.3]), np.array([[0.0, 1.0, -1.0]])))
+@example(surface=(np.array([0.5]), np.array([0.1, 0.2, 0.3]), np.array([[1.0, 0.0, -1.0]])))
+@example(surface=(np.array([0.5]), np.array([0.1, 0.2, 0.3]), np.array([[-1.0, 1.0, 0.0]])))
+@example(surface=(np.array([0.5]), np.array([0.1, 0.2, 0.3]), np.array([[0.0, 0.0, 1.0]])))
+@example(surface=(np.array([0.5, 2.0]), np.array([0.3, 0.1, 0.2]),
+                  np.array([[0.0, 0.0, 0.0], [-1.0, 2.0, -0.5]])))
+@example(surface=(np.array([1.0]), np.array([0.4]), np.array([[0.0]])))
+def test_zero_contour_matches_the_reference_loop(surface):
+    alpha, prior, avg = surface
+    got, want = experiment._zero_contour(alpha, prior, avg), reference_zero_contour(alpha, prior, avg)
+    assert got == want
+    assert _hex_pairs(got) == _hex_pairs(want)  # == takes -0.0 for 0.0
+
+
+def _axis(values):
+    return st.lists(values, min_size=1, max_size=3)
+
+
+PROBS = st.one_of(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(alphas=_axis(st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.05, 5.0))),
+       priors=_axis(PROBS), tprs=_axis(PROBS), fprs=_axis(PROBS))
+def test_theory_csvs_match_the_reference_loops(alphas, priors, tprs, fprs):
+    # priors are drawn unsorted and with repeats, as a --prior-grid list may give them
+    result = theory_sweep(alphas, priors, tprs, fprs)
+    with tempfile.TemporaryDirectory() as got, tempfile.TemporaryDirectory() as want:
+        write_theory_csvs(got, result)
+        reference_write_theory_csvs(want, result)
+        for name in ("theory_sweep.csv", "theory_sweep_avg.csv", "theory_contour.csv"):
+            assert Path(got, name).read_bytes() == Path(want, name).read_bytes(), name
 
 
 class TestScenario:
